@@ -161,12 +161,12 @@ class HMatrix {
                   double lambda, bool source_form) const;
 
   AskitConfig cfg_;
+  BuildStats stats_;  ///< Before tree_: the tree build writes into it.
   tree::BallTree tree_;
   KernelMatrix km_;
   std::vector<NodeSkeleton> skeletons_;
   std::vector<std::vector<index_t>> eff_skel_;
   std::vector<index_t> frontier_;
-  BuildStats stats_;
 };
 
 }  // namespace fdks::askit

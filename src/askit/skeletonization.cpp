@@ -1,6 +1,7 @@
 // Construction of the hierarchical representation: tree build, neighbour
 // sampling, and the bottom-up skeletonization of Algorithm II.1.
 #include <algorithm>
+#include <chrono>
 #include <numeric>
 #include <optional>
 #include <random>
@@ -16,9 +17,23 @@
 
 namespace fdks::askit {
 
+namespace {
+
+tree::BallTree timed_tree_build(const Matrix& points, const AskitConfig& cfg,
+                                double& seconds) {
+  const auto t0 = std::chrono::steady_clock::now();
+  tree::BallTree t(points, tree::BallTreeConfig{cfg.leaf_size, cfg.seed});
+  seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          t0)
+                .count();
+  return t;
+}
+
+}  // namespace
+
 HMatrix::HMatrix(Matrix points, Kernel k, AskitConfig cfg)
     : cfg_(cfg),
-      tree_(points, tree::BallTreeConfig{cfg.leaf_size, cfg.seed}),
+      tree_(timed_tree_build(points, cfg, stats_.tree_seconds)),
       km_(tree_.permuted_points(points), k) {
   if (cfg_.max_rank < 1)
     throw std::invalid_argument("AskitConfig: max_rank must be >= 1");

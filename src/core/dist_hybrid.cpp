@@ -15,6 +15,20 @@
 
 namespace fdks::core {
 
+namespace {
+
+/// Why a reduced-system GMRES stopped short, as a solve code (Ok when it
+/// converged); std::max over a batch's columns keeps the worst.
+SolveCode gmres_code(const iter::GmresResult& g) {
+  if (g.converged) return SolveCode::Ok;
+  if (g.breakdown) return SolveCode::Breakdown;
+  if (g.stagnated) return SolveCode::Stagnated;
+  if (g.nonfinite) return SolveCode::NonFinite;
+  return SolveCode::NotConverged;
+}
+
+}  // namespace
+
 DistributedHybridSolver::DistributedHybridSolver(const HMatrix& h,
                                                  HybridOptions opts,
                                                  mpisim::Comm comm)
@@ -91,160 +105,55 @@ DistributedHybridSolver::DistributedHybridSolver(const HMatrix& h,
   factor_status_ = allreduce_factor_status(ft_.factor_status(), comm_);
 }
 
-void DistributedHybridSolver::matvec_v_local(std::span<const double> q_local,
-                                             std::span<double> z) const {
-  // Algorithm II.8: contributions K(a~, {x}_i) q_i for EVERY frontier
-  // skeleton against the local points, own-diagonal-block subtracted by
-  // the owner, then AllReduce so all ranks hold the full V q.
-  std::vector<double> partial(static_cast<size_t>(reduced_size_), 0.0);
+void DistributedHybridSolver::matvec_v_local(la::ConstMatrixView q_local,
+                                             la::MatrixView z) const {
+  // Algorithm II.8: contributions K(a~, {x}_i) Q_i for EVERY frontier
+  // skeleton against the local points (fused block sweeps, each kernel
+  // tile evaluated once for all columns), own-diagonal-block subtracted
+  // by the owner, then one AllReduce so all ranks hold the full V Q.
+  const index_t nrhs = q_local.cols();
+  Matrix partial(reduced_size_, nrhs);
+  la::MatrixView pv(partial);
   std::vector<index_t> local_pts(static_cast<size_t>(local_end_ -
                                                      local_begin_));
   std::iota(local_pts.begin(), local_pts.end(), local_begin_);
-
   for (size_t ai = 0; ai < frontier_.size(); ++ai) {
     const auto& skel = h_->skeleton(frontier_[ai]).skel;
-    auto za = std::span<double>(partial.data() + offsets_[ai], skel.size());
-    kernel::gsks_apply(h_->km(), skel, local_pts, q_local, za, 1.0);
+    kernel::gsks_apply_block(
+        h_->km(), skel, local_pts, q_local,
+        pv.block(offsets_[ai], 0, static_cast<index_t>(skel.size()), nrhs),
+        1.0);
   }
   for (size_t ai : local_frontier_) {
     const tree::Node& nd = h_->tree().node(frontier_[ai]);
     const auto& skel = h_->skeleton(frontier_[ai]).skel;
     std::vector<index_t> own(static_cast<size_t>(nd.size()));
     std::iota(own.begin(), own.end(), nd.begin);
-    auto za = std::span<double>(partial.data() + offsets_[ai], skel.size());
-    kernel::gsks_apply(h_->km(), skel, own,
-                       q_local.subspan(static_cast<size_t>(nd.begin -
-                                                           local_begin_),
-                                       static_cast<size_t>(nd.size())),
-                       za, -1.0);
+    kernel::gsks_apply_block(
+        h_->km(), skel, own,
+        q_local.block(nd.begin - local_begin_, 0, nd.size(), nrhs),
+        pv.block(offsets_[ai], 0, static_cast<index_t>(skel.size()), nrhs),
+        -1.0);
   }
-  comm_.allreduce_sum(partial);
-  std::copy(partial.begin(), partial.end(), z.begin());
+  std::vector<double> pflat(partial.data(), partial.data() + partial.size());
+  comm_.allreduce_sum(pflat);
+  for (index_t j = 0; j < nrhs; ++j)
+    std::copy(pflat.begin() + j * reduced_size_,
+              pflat.begin() + (j + 1) * reduced_size_, z.col(j));
 }
 
-void DistributedHybridSolver::matvec_w_local(std::span<const double> z,
-                                             std::span<double> q_local)
-    const {
-  std::fill(q_local.begin(), q_local.end(), 0.0);
+void DistributedHybridSolver::matvec_w_local(la::ConstMatrixView z,
+                                             la::MatrixView q_local,
+                                             double alpha) const {
+  const index_t nrhs = z.cols();
   for (size_t ai : local_frontier_) {
     const tree::Node& nd = h_->tree().node(frontier_[ai]);
-    const auto& skel = h_->skeleton(frontier_[ai]).skel;
-    ft_.apply_phat(frontier_[ai],
-                   z.subspan(static_cast<size_t>(offsets_[ai]), skel.size()),
-                   q_local.subspan(static_cast<size_t>(nd.begin -
-                                                       local_begin_),
-                                   static_cast<size_t>(nd.size())));
+    const auto sa =
+        static_cast<index_t>(h_->skeleton(frontier_[ai]).skel.size());
+    ft_.apply_phat(frontier_[ai], z.block(offsets_[ai], 0, sa, nrhs),
+                   q_local.block(nd.begin - local_begin_, 0, nd.size(), nrhs),
+                   alpha);
   }
-}
-
-std::vector<double> DistributedHybridSolver::solve_impl(
-    std::span<const double> u) {
-  obs::ScopedTimer t_solve("dist.solve");
-  const std::vector<double> ut = h_->to_tree_order(u);
-  std::vector<double> w(ut.begin() + local_begin_, ut.begin() + local_end_);
-
-  // Step 1: w = D^-1 u on the locally owned frontier subtrees.
-  for (size_t ai : local_frontier_) {
-    const tree::Node& nd = h_->tree().node(frontier_[ai]);
-    ft_.solve_subtree(frontier_[ai],
-                      std::span<double>(w.data() + (nd.begin - local_begin_),
-                                        static_cast<size_t>(nd.size())));
-  }
-
-  if (reduced_size_ > 0) {
-    // Step 2: rhs = V w (collective). Step 3: replicated GMRES on the
-    // reduced system; the matvec's AllReduce keeps ranks in lockstep.
-    std::vector<double> rhs(static_cast<size_t>(reduced_size_), 0.0);
-    matvec_v_local(w, rhs);
-    std::vector<double> q_local(w.size(), 0.0);
-    last_ = iter::gmres(
-        reduced_size_,
-        [&](std::span<const double> z, std::span<double> y) {
-          matvec_w_local(z, q_local);
-          matvec_v_local(q_local, y);
-          for (size_t i = 0; i < z.size(); ++i) y[i] += z[i];
-        },
-        rhs, opts_.gmres);
-
-    // Step 4: x = w - W z, locally.
-    matvec_w_local(last_.x, q_local);
-    for (size_t i = 0; i < w.size(); ++i) w[i] -= q_local[i];
-  }
-
-  const std::vector<double> full_tree = comm_.allgatherv(w);
-  return h_->from_tree_order(full_tree);
-}
-
-std::vector<double> DistributedHybridSolver::solve(
-    std::span<const double> u) {
-  if (static_cast<index_t>(u.size()) != h_->n())
-    throw std::invalid_argument("DistributedHybridSolver: size mismatch");
-  std::vector<double> x = solve_impl(u);
-
-  // Guardrail summary (no extra collectives: u and the reduced GMRES
-  // are replicated, the solution was just allgathered — every rank
-  // derives the identical status).
-  SolveStatus st;
-  st.lambda_effective = factor_status_.lambda_effective;
-  st.shifted_nodes = factor_status_.shifted_nodes;
-  st.gmres_iterations = last_.iterations;
-  if (!all_finite(u)) {
-    st.code = SolveCode::NonFinite;
-    st.detail = "right-hand side contains NaN/Inf";
-  } else if (!all_finite(std::span<const double>(x.data(), x.size()))) {
-    st.code = SolveCode::NonFinite;
-    st.detail = "solution contains NaN/Inf";
-  } else {
-    st.residual = h_->relative_residual(x, u, opts_.direct.lambda);
-    if (reduced_size_ > 0 && !last_.converged) {
-      if (last_.breakdown) {
-        st.code = SolveCode::Breakdown;
-      } else if (last_.stagnated) {
-        st.code = SolveCode::Stagnated;
-      } else if (last_.nonfinite) {
-        st.code = SolveCode::NonFinite;
-      } else {
-        st.code = SolveCode::NotConverged;
-      }
-      st.detail = "reduced-system GMRES did not converge";
-    } else if (factor_status_.code == FactorCode::ShiftedDiagonal) {
-      st.code = SolveCode::ShiftedDiagonal;
-    }
-  }
-
-  // Certification / escalation ladder (collective: u and x are
-  // replicated, so every rank takes the identical branch and each
-  // correction pass through solve_impl stays collective).
-  const VerifyPolicy& vp = opts_.direct.verify;
-  const bool insample = vp.enabled() && should_verify(vp, verify_seq_++);
-  if (insample && st.code != SolveCode::NonFinite) {
-    VerifyOps ops;
-    ops.emit_obs = comm_.rank() == 0;
-    ops.apply = [this, &vp](std::span<const double> in,
-                            std::span<double> y) {
-      if (vp.op == VerifyPolicy::Operator::Treecode)
-        h_->apply_source(in, y, opts_.direct.lambda);
-      else
-        h_->apply(in, y, opts_.direct.lambda);
-    };
-    ops.solve = [this](std::span<const double> in, std::span<double> y) {
-      const std::vector<double> s = solve_impl(in);
-      std::copy(s.begin(), s.end(), y.begin());
-    };
-    const VerifyOutcome vo = certify_and_refine_ops(ops, u, x, vp);
-    st.residual = vo.residual;
-    st.escalations += vo.escalations;
-    if (!vo.certified) {
-      st.code = SolveCode::NotConverged;
-      st.detail =
-          "certified residual misses the verify target after the "
-          "escalation ladder";
-    } else if (vo.escalations > 0) {
-      st.code = SolveCode::Escalated;
-    }
-  }
-  last_status_ = st;
-  return x;
 }
 
 Matrix DistributedHybridSolver::solve_impl(const Matrix& u) {
@@ -269,69 +178,36 @@ Matrix DistributedHybridSolver::solve_impl(const Matrix& u) {
   }
 
   block_gmres_iters_ = 0;
+  block_gmres_code_ = SolveCode::Ok;
   if (reduced_size_ > 0) {
-    // Step 2: RHS = V W (Algorithm II.8, batched): every rank computes
-    // its fused block contribution for ALL frontier skeletons, one
-    // allreduce assembles the full [S x B] panel everywhere.
-    std::vector<index_t> local_pts(static_cast<size_t>(nloc));
-    std::iota(local_pts.begin(), local_pts.end(), local_begin_);
-    Matrix partial(reduced_size_, nrhs);
-    la::MatrixView pv(partial);
-    for (size_t ai = 0; ai < frontier_.size(); ++ai) {
-      const auto& skel = h_->skeleton(frontier_[ai]).skel;
-      kernel::gsks_apply_block(
-          h_->km(), skel, local_pts, la::ConstMatrixView(wv),
-          pv.block(offsets_[ai], 0, static_cast<index_t>(skel.size()),
-                   nrhs),
-          1.0);
-    }
-    for (size_t ai : local_frontier_) {
-      const tree::Node& nd = h_->tree().node(frontier_[ai]);
-      const auto& skel = h_->skeleton(frontier_[ai]).skel;
-      std::vector<index_t> own(static_cast<size_t>(nd.size()));
-      std::iota(own.begin(), own.end(), nd.begin);
-      kernel::gsks_apply_block(
-          h_->km(), skel, own,
-          la::ConstMatrixView(
-              wv.block(nd.begin - local_begin_, 0, nd.size(), nrhs)),
-          pv.block(offsets_[ai], 0, static_cast<index_t>(skel.size()),
-                   nrhs),
-          -1.0);
-    }
-    std::vector<double> pflat(partial.data(),
-                              partial.data() + partial.size());
-    comm_.allreduce_sum(pflat);
-    std::copy(pflat.begin(), pflat.end(), partial.data());
+    // Step 2: RHS = V W (Algorithm II.8, batched), collective.
+    Matrix rhs(reduced_size_, nrhs);
+    matvec_v_local(la::ConstMatrixView(w), rhs);
 
     // Step 3: replicated per-column GMRES on (I + VW); the collective
     // matvec keeps ranks in lockstep column by column.
-    Matrix z(reduced_size_, nrhs);
+    const index_t s = reduced_size_;
+    Matrix z(s, nrhs);
     std::vector<double> q_local(static_cast<size_t>(nloc), 0.0);
+    const la::MatrixView qv(q_local.data(), nloc, 1, nloc);
     for (index_t j = 0; j < nrhs; ++j) {
       last_ = iter::gmres(
-          reduced_size_,
+          s,
           [&](std::span<const double> zc, std::span<double> y) {
-            matvec_w_local(zc, q_local);
-            matvec_v_local(q_local, y);
+            std::fill(q_local.begin(), q_local.end(), 0.0);
+            matvec_w_local(la::ConstMatrixView(zc.data(), s, 1, s), qv, 1.0);
+            matvec_v_local(qv, la::MatrixView(y.data(), s, 1, s));
             for (size_t i = 0; i < zc.size(); ++i) y[i] += zc[i];
           },
-          std::span<const double>(partial.col(j),
-                                  static_cast<size_t>(reduced_size_)),
+          std::span<const double>(rhs.col(j), static_cast<size_t>(s)),
           opts_.gmres);
       block_gmres_iters_ += last_.iterations;
+      block_gmres_code_ = std::max(block_gmres_code_, gmres_code(last_));
       std::copy(last_.x.begin(), last_.x.end(), z.col(j));
     }
 
     // Step 4: X = W - W_mat Z, batched P^ applications.
-    const la::ConstMatrixView zv(z);
-    for (size_t ai : local_frontier_) {
-      const tree::Node& nd = h_->tree().node(frontier_[ai]);
-      const index_t sa =
-          static_cast<index_t>(h_->skeleton(frontier_[ai]).skel.size());
-      ft_.apply_phat(frontier_[ai], zv.block(offsets_[ai], 0, sa, nrhs),
-                     wv.block(nd.begin - local_begin_, 0, nd.size(), nrhs),
-                     -1.0);
-    }
+    matvec_w_local(la::ConstMatrixView(z), wv, -1.0);
   }
 
   const std::vector<double> wflat(w.data(), w.data() + w.size());
@@ -348,19 +224,18 @@ Matrix DistributedHybridSolver::solve_impl(const Matrix& u) {
 Matrix DistributedHybridSolver::solve(const Matrix& u) {
   const index_t n = h_->n();
   if (u.rows() != n)
-    throw std::invalid_argument(
-        "DistributedHybridSolver: block shape mismatch");
-  const index_t nrhs = u.cols();
+    throw std::invalid_argument("DistributedHybridSolver: size mismatch");
   Matrix x = solve_impl(u);
 
-  // Guardrail summary over the batch: worst column wins (replicated
-  // data, so every rank derives the identical status).
+  // Guardrail summary over the batch, worst column first (replicated
+  // data and a replicated reduced GMRES, so every rank derives the
+  // identical status without extra collectives).
   SolveStatus st;
   st.lambda_effective = factor_status_.lambda_effective;
   st.shifted_nodes = factor_status_.shifted_nodes;
   st.gmres_iterations = static_cast<int>(block_gmres_iters_);
   st.residual = 0.0;
-  for (index_t j = 0; j < nrhs && st.code == SolveCode::Ok; ++j) {
+  for (index_t j = 0; j < u.cols() && st.code == SolveCode::Ok; ++j) {
     const std::span<const double> uc(u.col(j), static_cast<size_t>(n));
     const std::span<const double> xc(x.col(j), static_cast<size_t>(n));
     if (!all_finite(uc)) {
@@ -368,61 +243,49 @@ Matrix DistributedHybridSolver::solve(const Matrix& u) {
       st.detail = "right-hand side contains NaN/Inf";
     } else if (!all_finite(xc)) {
       st.code = SolveCode::NonFinite;
-      st.detail = "solution contains NaN/Inf";
+      st.detail = factor_status_.code == FactorCode::NonFinite
+                      ? "solution contains NaN/Inf (factorization was "
+                        "already non-finite)"
+                      : "solution contains NaN/Inf";
     } else {
       st.residual = std::max(
-          st.residual,
-          h_->relative_residual(xc, uc, opts_.direct.lambda));
+          st.residual, h_->relative_residual(xc, uc, opts_.direct.lambda));
     }
   }
   if (st.code == SolveCode::Ok) {
-    if (reduced_size_ > 0 && !last_.converged) {
-      st.code = SolveCode::NotConverged;
+    if (block_gmres_code_ != SolveCode::Ok) {
+      st.code = block_gmres_code_;
       st.detail = "reduced-system GMRES did not converge";
     } else if (factor_status_.code == FactorCode::ShiftedDiagonal) {
       st.code = SolveCode::ShiftedDiagonal;
     }
   }
 
-  // Collective block certification ladder (see the vector overload).
+  // Collective certification ladder: u and x are replicated, so every
+  // rank takes the identical per-column decisions and each correction
+  // pass through solve_impl stays a collective Algorithm II.6 solve.
   const VerifyPolicy& vp = opts_.direct.verify;
-  const bool insample = vp.enabled() && should_verify(vp, verify_seq_++);
-  if (insample && st.code != SolveCode::NonFinite) {
+  if (vp.enabled() && should_verify(vp, verify_seq_++) &&
+      st.code != SolveCode::NonFinite) {
     VerifyOps ops;
     ops.emit_obs = comm_.rank() == 0;
     ops.apply = [this, &vp](std::span<const double> in,
                             std::span<double> y) {
-      if (vp.op == VerifyPolicy::Operator::Treecode)
-        h_->apply_source(in, y, opts_.direct.lambda);
-      else
-        h_->apply(in, y, opts_.direct.lambda);
+      verify_apply(*h_, opts_.direct.lambda, vp, in, y);
     };
-    ops.solve = [this](std::span<const double> in, std::span<double> y) {
-      const std::vector<double> s = solve_impl(in);
-      std::copy(s.begin(), s.end(), y.begin());
-    };
-    ops.solve_block = [this](const Matrix& rhs) { return solve_impl(rhs); };
-    const std::vector<VerifyOutcome> vos =
-        certify_and_refine_block_ops(ops, u, x, vp);
-    double worst = 0.0;
-    bool uncertified = false;
-    for (const VerifyOutcome& vo : vos) {
-      worst = std::max(worst, vo.residual);
-      uncertified = uncertified || !vo.certified;
-      st.escalations += vo.escalations;
-    }
-    st.residual = worst;
-    if (uncertified) {
-      st.code = SolveCode::NotConverged;
-      st.detail =
-          "certified residual misses the verify target after the "
-          "escalation ladder";
-    } else if (st.escalations > 0) {
-      st.code = SolveCode::Escalated;
-    }
+    ops.solve = [this](const Matrix& rhs) { return solve_impl(rhs); };
+    certify_into_status(ops, u, x, vp, st);
   }
   last_status_ = st;
   return x;
+}
+
+std::vector<double> DistributedHybridSolver::solve(
+    std::span<const double> u) {
+  Matrix um(static_cast<index_t>(u.size()), 1);
+  std::copy(u.begin(), u.end(), um.data());
+  const Matrix x = solve(um);
+  return std::vector<double>(x.data(), x.data() + x.size());
 }
 
 }  // namespace fdks::core

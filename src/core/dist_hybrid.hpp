@@ -26,21 +26,21 @@ class DistributedHybridSolver {
   DistributedHybridSolver(const HMatrix& h, HybridOptions opts,
                           mpisim::Comm comm);
 
-  /// Collective solve; u identical on all ranks (original order);
-  /// returns the full solution on every rank. When
-  /// HybridOptions::direct.verify is enabled, the certification /
-  /// refinement ladder (core/verify.hpp) runs collectively afterwards:
-  /// u and x are replicated, so every rank reaches the identical
-  /// per-step decision and each correction pass stays a collective
-  /// Algorithm II.6 solve.
-  std::vector<double> solve(std::span<const double> u);
-
-  /// Collective block solve for B right-hand sides (columns identical
-  /// on all ranks). Local D^-1 runs as in-place block subtree solves,
-  /// V as fused block kernel sweeps with one allreduce per [S x B]
-  /// panel, W as batched P^ GEMMs; the replicated reduced-system GMRES
-  /// (step 3) stays per column. last_gmres() reflects the final column.
+  /// Collective solve for B >= 1 right-hand sides (columns identical
+  /// on all ranks, original order); returns the full solution on every
+  /// rank. Local D^-1 runs as in-place block subtree solves, V as fused
+  /// block kernel sweeps with one allreduce per [S x B] panel, W as
+  /// batched P^ GEMMs; the replicated reduced-system GMRES (step 3)
+  /// stays per column. last_gmres() reflects the final column;
+  /// last_status() the worst. When HybridOptions::direct.verify is
+  /// enabled, the certification / refinement ladder (core/verify.hpp)
+  /// runs collectively afterwards: u and x are replicated, so every
+  /// rank reaches the identical per-column decision and each
+  /// correction pass stays a collective Algorithm II.6 solve.
   Matrix solve(const Matrix& u);
+
+  /// Single-vector form: the B = 1 case of the block solve.
+  std::vector<double> solve(std::span<const double> u);
 
   index_t reduced_size() const { return reduced_size_; }
   const iter::GmresResult& last_gmres() const { return last_; }
@@ -51,22 +51,23 @@ class DistributedHybridSolver {
 
   /// Outcome of the most recent solve(), identical on every rank: the
   /// replicated GMRES gives every rank the same convergence flags, and
-  /// the solution/residual come from collectively assembled data.
+  /// the solution/residual come from collectively assembled data. For
+  /// a batch it is the worst column's outcome.
   const SolveStatus& last_status() const { return last_status_; }
 
  private:
   /// One Algorithm II.6-II.8 pass (local D^-1 + replicated reduced
   /// GMRES + correction), without status/verification bookkeeping.
-  /// Updates last_ with the reduced-system GMRES result.
-  std::vector<double> solve_impl(std::span<const double> u);
+  /// Updates last_ and the block_gmres_* summaries.
   Matrix solve_impl(const Matrix& u);
 
-  /// z = V q with q the rank-local slice (permuted order); collective.
-  void matvec_v_local(std::span<const double> q_local,
-                      std::span<double> z) const;
-  /// q_local = W z restricted to this rank's points.
-  void matvec_w_local(std::span<const double> z,
-                      std::span<double> q_local) const;
+  /// Z = V Q (Algorithm II.8) for B >= 1 columns, with Q the rank-local
+  /// rows (permuted order); collective: one allreduce of the [S x B]
+  /// panel leaves the full Z on every rank.
+  void matvec_v_local(la::ConstMatrixView q_local, la::MatrixView z) const;
+  /// Q_local += alpha W Z restricted to this rank's points.
+  void matvec_w_local(la::ConstMatrixView z, la::MatrixView q_local,
+                      double alpha) const;
 
   const HMatrix* h_;
   HybridOptions opts_;
@@ -81,7 +82,8 @@ class DistributedHybridSolver {
   index_t reduced_size_ = 0;
   double factor_seconds_ = 0.0;
   iter::GmresResult last_;
-  index_t block_gmres_iters_ = 0;  ///< Column sum, last Matrix solve_impl.
+  index_t block_gmres_iters_ = 0;  ///< Column sum, last solve_impl.
+  SolveCode block_gmres_code_ = SolveCode::Ok;  ///< Worst column, ditto.
   FactorStatus factor_status_;
   SolveStatus last_status_;
   std::uint64_t verify_seq_ = 0;  ///< Sampling counter (replicated).

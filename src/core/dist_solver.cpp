@@ -264,131 +264,6 @@ void DistributedSolver::factorize() {
   factor_status_ = allreduce_factor_status(ft_.factor_status(), comm_);
 }
 
-std::vector<double> DistributedSolver::solve_impl(std::span<const double> u) {
-  obs::ScopedTimer t_dist("dist.solve");
-
-  // Local slice in tree order.
-  const std::vector<double> ut = h_->to_tree_order(u);
-  std::vector<double> w(ut.begin() + local_begin_, ut.begin() + local_end_);
-
-  // Local solve (Algorithm II.3 on the owned subtree).
-  {
-    obs::ScopedTimer t_local("local_solve");
-    ft_.solve_subtree(local_root_, w);
-  }
-
-  // Distributed corrections, bottom-up (Algorithm II.5).
-  std::vector<index_t> local_pts(static_cast<size_t>(local_end_ -
-                                                     local_begin_));
-  std::iota(local_pts.begin(), local_pts.end(), local_begin_);
-
-  for (int li = logp_ - 1; li >= 0; --li) {
-    obs::ScopedTimer t_level("dist.level");
-    const DistLevel& dl = dist_[static_cast<size_t>(li)];
-    const int q = dl.comm.size();
-    const bool root_of_half = dl.half_comm.rank() == 0;
-
-    // t_sib = K(sibling~, {x}_i) w_i, reduced over my half: the left
-    // half produces t_r~ = K(r~, X_l) w_l and vice versa.
-    std::vector<double> tpart(dl.sib_skel.size(), 0.0);
-    kernel::gsks_apply(h_->km(), dl.sib_skel, local_pts, w, tpart);
-    dl.half_comm.reduce_sum(tpart, 0);
-
-    // Assemble [t_l~; t_r~] on comm rank 0, solve with Z, and return the
-    // halves: z_l~ broadcast in the left half, z_r~ in the right half.
-    std::vector<double> zmine;
-    if (dl.comm.rank() == 0) {
-      std::vector<double> t_r = tpart;  // Left half reduced t_r~ here.
-      std::vector<double> t_l = dl.comm.recv(q / 2, kTagTl);
-      std::vector<double> rhs;
-      rhs.reserve(t_l.size() + t_r.size());
-      rhs.insert(rhs.end(), t_l.begin(), t_l.end());
-      rhs.insert(rhs.end(), t_r.begin(), t_r.end());
-      la::lu_solve(dl.z_lu, rhs);
-      std::vector<double> z_l(rhs.begin(), rhs.begin() + dl.s_l);
-      std::vector<double> z_r(rhs.begin() + dl.s_l, rhs.end());
-      dl.comm.send(q / 2, kTagZr, z_r);
-      zmine = std::move(z_l);
-    } else if (root_of_half && !dl.is_left) {
-      dl.comm.send(0, kTagTl, tpart);
-      zmine = dl.comm.recv(0, kTagZr);
-    }
-    dl.half_comm.bcast(zmine, 0);
-
-    // w_i -= (local rows of P^_child) z_child~.
-    la::gemv(la::Trans::No, -1.0, dl.phat_child_local, zmine, 1.0, w);
-  }
-
-  // Assemble the full solution on every rank: ranks are ordered by
-  // point range, so a rank-ordered allgather is the tree-order vector.
-  std::vector<double> full_tree = comm_.allgatherv(w);
-  return h_->from_tree_order(full_tree);
-}
-
-std::vector<double> DistributedSolver::solve(std::span<const double> u) {
-  if (static_cast<index_t>(u.size()) != h_->n())
-    throw std::invalid_argument("DistributedSolver::solve: size mismatch");
-
-  std::vector<double> x = solve_impl(u);
-
-  // Guardrail summary. No extra collectives: u is replicated, the full
-  // solution was just allgathered, and factor_status_ was agreed during
-  // factorization — every rank derives the identical status.
-  SolveStatus st;
-  st.lambda_effective = factor_status_.lambda_effective;
-  st.shifted_nodes = factor_status_.shifted_nodes;
-  if (!all_finite(u)) {
-    st.code = SolveCode::NonFinite;
-    st.detail = "right-hand side contains NaN/Inf";
-  } else if (!all_finite(std::span<const double>(x.data(), x.size()))) {
-    st.code = SolveCode::NonFinite;
-    st.detail = factor_status_.code == FactorCode::NonFinite
-                    ? "solution contains NaN/Inf (factorization was "
-                      "already non-finite)"
-                    : "solution contains NaN/Inf";
-  } else {
-    st.residual = h_->relative_residual(x, u, ft_.options().lambda);
-    if (factor_status_.code == FactorCode::ShiftedDiagonal)
-      st.code = SolveCode::ShiftedDiagonal;
-  }
-
-  // Certification ladder (collective): u and x are replicated, so every
-  // rank takes the identical refine/escalate decisions and the
-  // correction solves below stay collective Algorithm II.5 passes. Only
-  // rank 0 emits the verify.*/refine.* keys (one count per event).
-  const VerifyPolicy& vp = ft_.options().verify;
-  const bool insample = vp.enabled() && should_verify(vp, verify_seq_++);
-  if (insample && st.code != SolveCode::NonFinite) {
-    VerifyOps ops;
-    ops.emit_obs = comm_.rank() == 0;
-    const double lambda = ft_.options().lambda;
-    const VerifyPolicy::Operator vop = vp.op;
-    ops.apply = [this, lambda, vop](std::span<const double> in,
-                                    std::span<double> y) {
-      if (vop == VerifyPolicy::Operator::Treecode)
-        h_->apply_source(in, y, lambda);
-      else
-        h_->apply(in, y, lambda);
-    };
-    ops.solve = [this](std::span<const double> in, std::span<double> y) {
-      const std::vector<double> q = solve_impl(in);
-      std::copy(q.begin(), q.end(), y.begin());
-    };
-    const VerifyOutcome vo = certify_and_refine_ops(ops, u, x, vp);
-    st.residual = vo.residual;
-    st.escalations += vo.escalations;
-    if (!vo.certified) {
-      st.code = SolveCode::NotConverged;
-      st.detail = "certified residual misses the verify target after the "
-                  "escalation ladder";
-    } else if (vo.escalations > 0) {
-      st.code = SolveCode::Escalated;
-    }
-  }
-  last_status_ = st;
-  return x;
-}
-
 Matrix gather_tree_order_block(const HMatrix& h, int p,
                                std::span<const double> gathered,
                                index_t nrhs) {
@@ -507,17 +382,18 @@ Matrix DistributedSolver::solve_impl(const Matrix& u) {
 Matrix DistributedSolver::solve(const Matrix& u) {
   const index_t n = h_->n();
   if (u.rows() != n)
-    throw std::invalid_argument(
-        "DistributedSolver::solve: block shape mismatch");
-  const index_t nrhs = u.cols();
+    throw std::invalid_argument("DistributedSolver::solve: size mismatch");
   Matrix x = solve_impl(u);
 
-  // Guardrail summary over the whole batch: worst column wins.
+  // Guardrail summary over the batch, worst column first. No extra
+  // collectives: u is replicated, the full solution was just
+  // allgathered, and factor_status_ was agreed during factorization —
+  // every rank derives the identical status.
   SolveStatus st;
   st.lambda_effective = factor_status_.lambda_effective;
   st.shifted_nodes = factor_status_.shifted_nodes;
   st.residual = 0.0;
-  for (index_t j = 0; j < nrhs && st.code == SolveCode::Ok; ++j) {
+  for (index_t j = 0; j < u.cols() && st.code == SolveCode::Ok; ++j) {
     const std::span<const double> uc(u.col(j), static_cast<size_t>(n));
     const std::span<const double> xc(x.col(j), static_cast<size_t>(n));
     if (!all_finite(uc)) {
@@ -525,60 +401,45 @@ Matrix DistributedSolver::solve(const Matrix& u) {
       st.detail = "right-hand side contains NaN/Inf";
     } else if (!all_finite(xc)) {
       st.code = SolveCode::NonFinite;
-      st.detail = "solution contains NaN/Inf";
+      st.detail = factor_status_.code == FactorCode::NonFinite
+                      ? "solution contains NaN/Inf (factorization was "
+                        "already non-finite)"
+                      : "solution contains NaN/Inf";
     } else {
       st.residual = std::max(
-          st.residual,
-          h_->relative_residual(xc, uc, ft_.options().lambda));
+          st.residual, h_->relative_residual(xc, uc, ft_.options().lambda));
     }
   }
   if (st.code == SolveCode::Ok &&
       factor_status_.code == FactorCode::ShiftedDiagonal)
     st.code = SolveCode::ShiftedDiagonal;
 
-  // Collective certification ladder over the batch: only failing
-  // columns are refined (one narrow blocked Algorithm II.5 correction
-  // per step), per replicated per-column decisions on every rank.
+  // Collective certification ladder: u and x are replicated, so every
+  // rank takes the identical per-column refine/escalate decisions and
+  // each correction stays a collective blocked Algorithm II.5 pass.
+  // Only rank 0 emits the verify.*/refine.* keys (one count per event).
   const VerifyPolicy& vp = ft_.options().verify;
-  const bool insample = vp.enabled() && should_verify(vp, verify_seq_++);
-  if (insample && st.code != SolveCode::NonFinite) {
+  if (vp.enabled() && should_verify(vp, verify_seq_++) &&
+      st.code != SolveCode::NonFinite) {
     VerifyOps ops;
     ops.emit_obs = comm_.rank() == 0;
     const double lambda = ft_.options().lambda;
-    const VerifyPolicy::Operator vop = vp.op;
-    ops.apply = [this, lambda, vop](std::span<const double> in,
+    ops.apply = [this, lambda, &vp](std::span<const double> in,
                                     std::span<double> y) {
-      if (vop == VerifyPolicy::Operator::Treecode)
-        h_->apply_source(in, y, lambda);
-      else
-        h_->apply(in, y, lambda);
+      verify_apply(*h_, lambda, vp, in, y);
     };
-    ops.solve = [this](std::span<const double> in, std::span<double> y) {
-      const std::vector<double> q = solve_impl(in);
-      std::copy(q.begin(), q.end(), y.begin());
-    };
-    ops.solve_block = [this](const Matrix& rhs) { return solve_impl(rhs); };
-    const std::vector<VerifyOutcome> vos =
-        certify_and_refine_block_ops(ops, u, x, vp);
-    st.residual = 0.0;
-    bool uncertified = false;
-    int escalations = 0;
-    for (const VerifyOutcome& vo : vos) {
-      st.residual = std::max(st.residual, vo.residual);
-      uncertified = uncertified || !vo.certified;
-      escalations += vo.escalations;
-    }
-    st.escalations += escalations;
-    if (uncertified) {
-      st.code = SolveCode::NotConverged;
-      st.detail = "certified residual misses the verify target after the "
-                  "escalation ladder";
-    } else if (escalations > 0) {
-      st.code = SolveCode::Escalated;
-    }
+    ops.solve = [this](const Matrix& rhs) { return solve_impl(rhs); };
+    certify_into_status(ops, u, x, vp, st);
   }
   last_status_ = st;
   return x;
+}
+
+std::vector<double> DistributedSolver::solve(std::span<const double> u) {
+  Matrix um(static_cast<index_t>(u.size()), 1);
+  std::copy(u.begin(), u.end(), um.data());
+  const Matrix x = solve(um);
+  return std::vector<double>(x.data(), x.data() + x.size());
 }
 
 }  // namespace fdks::core

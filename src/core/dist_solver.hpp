@@ -33,22 +33,22 @@ class DistributedSolver {
   /// complete level log2(p).
   DistributedSolver(const HMatrix& h, SolverOptions opts, mpisim::Comm comm);
 
-  /// Collective solve of (lambda I + K~) x = u. u must be identical on
-  /// all ranks (original point order); returns the full solution on
-  /// every rank. When SolverOptions::verify is enabled, the certified
+  /// Collective solve of (lambda I + K~) X = U for B >= 1 right-hand
+  /// sides (columns of u, identical on all ranks, original point
+  /// order); returns the full solution on every rank. One batched pass
+  /// of Algorithm II.5: local block subtree solves, per-level
+  /// corrections as fused block kernel sweeps and batched P^ GEMMs, and
+  /// level messages carrying [s x B] panels instead of B separate
+  /// vectors — B-fold fewer messages and factor sweeps than B vector
+  /// solves. When SolverOptions::verify is enabled, the certified
   /// residual is checked afterwards and the refinement/escalation
   /// ladder (core/verify.hpp) runs collectively: u and x are replicated,
-  /// so every rank reaches the identical per-step decision and the
+  /// so every rank reaches the identical per-column decision and the
   /// correction solves remain collective Algorithm II.5 passes.
-  std::vector<double> solve(std::span<const double> u);
-
-  /// Collective block solve for B right-hand sides (columns of u,
-  /// identical on all ranks). One batched pass of Algorithm II.5:
-  /// local block subtree solves, per-level corrections as fused block
-  /// kernel sweeps and batched P^ GEMMs, and level messages carrying
-  /// [s x B] panels instead of B separate vectors — B-fold fewer
-  /// messages and factor sweeps than B scalar solves.
   Matrix solve(const Matrix& u);
+
+  /// Single-vector form: the B = 1 case of the block solve.
+  std::vector<double> solve(std::span<const double> u);
 
   index_t local_root() const { return local_root_; }
   double factor_seconds() const { return factor_seconds_; }
@@ -81,7 +81,6 @@ class DistributedSolver {
   void factorize();
   /// One Algorithm II.5 pass (local subtree solve + per-level
   /// corrections + allgather), without status/verification bookkeeping.
-  std::vector<double> solve_impl(std::span<const double> u);
   Matrix solve_impl(const Matrix& u);
 
   const HMatrix* h_;

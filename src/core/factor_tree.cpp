@@ -81,29 +81,6 @@ Matrix FactorTree::expand_projection(index_t id) const {
   return e;
 }
 
-void FactorTree::apply_phat(index_t id, std::span<const double> z,
-                            std::span<double> y, double alpha) const {
-  const NodeFactor& f = nf_[static_cast<size_t>(id)];
-  const tree::Node& nd = h_->tree().node(id);
-  if (f.phat.size() > 0) {  // Dense factor stored (leaf or non-compact).
-    la::gemv(la::Trans::No, alpha, f.phat, z, 1.0, y);
-    return;
-  }
-  if (nd.is_leaf())
-    throw std::logic_error("apply_phat: leaf without a dense factor");
-  // Compact mode: z2 = T z, then descend into the children's W rows.
-  std::vector<double> z2(static_cast<size_t>(f.tmat.rows()), 0.0);
-  la::gemv(la::Trans::No, 1.0, f.tmat, z, 0.0, z2);
-  const index_t sl = static_cast<index_t>(
-      h_->effective_skeleton(nd.left).size());
-  const index_t nl = h_->tree().node(nd.left).size();
-  apply_phat(nd.left, std::span<const double>(z2.data(), sl),
-             y.subspan(0, static_cast<size_t>(nl)), alpha);
-  apply_phat(nd.right,
-             std::span<const double>(z2.data() + sl, z2.size() - sl),
-             y.subspan(static_cast<size_t>(nl)), alpha);
-}
-
 void FactorTree::apply_phat(index_t id, la::ConstMatrixView z,
                             la::MatrixView y, double alpha) const {
   const NodeFactor& f = nf_[static_cast<size_t>(id)];
@@ -126,6 +103,14 @@ void FactorTree::apply_phat(index_t id, la::ConstMatrixView z,
              y.block(0, 0, nl, y.cols()), alpha);
   apply_phat(nd.right, z2v.block(sl, 0, z2.rows() - sl, z2.cols()),
              y.block(nl, 0, y.rows() - nl, y.cols()), alpha);
+}
+
+void FactorTree::apply_phat(index_t id, std::span<const double> z,
+                            std::span<double> y, double alpha) const {
+  const auto nz = static_cast<index_t>(z.size());
+  const auto ny = static_cast<index_t>(y.size());
+  apply_phat(id, la::ConstMatrixView(z.data(), nz, 1, nz),
+             la::MatrixView(y.data(), ny, 1, ny), alpha);
 }
 
 Matrix FactorTree::dense_phat(index_t id) const {

@@ -185,24 +185,16 @@ class FactorTree {
   /// parallel-for, deepest level first. Produces the same factors.
   void factorize_subtree_levelwise(index_t id, bool compute_phat);
 
-  /// In-place solve (lambda I + K~_αα)^-1 on u (|α| entries, permuted
-  /// order, offset relative to node begin). `cancel` (optional) is
-  /// checked at every internal node on the way down — the level
-  /// boundaries of Algorithm II.3 — and aborts by throwing
-  /// CancelledError, leaving u partially overwritten.
-  void solve_subtree(index_t id, std::span<double> u,
-                     const CancelToken* cancel = nullptr) const;
-
-  /// Block right-hand-side variant, fully in place on a strided
-  /// [node-size x B] column view: recursion descends through row
-  /// sub-views (no copies), skeleton corrections are single GEMMs over
-  /// the batch. This is the n_rhs dimension of the serving path — every
-  /// factor matrix is streamed once per batch instead of once per RHS.
+  /// In-place solve (lambda I + K~_αα)^-1 on a strided [|α| x B]
+  /// column view (permuted order, rows relative to the node begin),
+  /// B >= 1; a single vector is a one-column view. The recursion
+  /// descends through row sub-views (no copies) and the skeleton
+  /// corrections are single GEMMs over the batch, so every factor
+  /// matrix is streamed once per batch instead of once per RHS.
+  /// `cancel` (optional) is checked at every internal node on the way
+  /// down — the level boundaries of Algorithm II.3 — and aborts by
+  /// throwing CancelledError, leaving u partially overwritten.
   void solve_subtree(index_t id, la::MatrixView u,
-                     const CancelToken* cancel = nullptr) const;
-
-  /// Convenience overload: whole-matrix block solve.
-  void solve_subtree(index_t id, Matrix& u,
                      const CancelToken* cancel = nullptr) const;
 
   /// Dense |α| x s_eff(α) unfactored basis E_α = P_{α,α~}^T expanded to
@@ -210,19 +202,18 @@ class FactorTree {
   /// baseline and by tests).
   Matrix expand_projection(index_t id) const;
 
-  /// y += alpha * P^_id * z, independent of storage mode: a GEMV on the
+  /// Y += alpha * P^_id * Z with Z an s_eff(id) x B view and Y a
+  /// node-size x B view, independent of storage mode: one GEMM on the
   /// dense factor, or a recursive descent through the T stencils when
-  /// compact_w is on. |y| = node size, |z| = s_eff(id).
-  void apply_phat(index_t id, std::span<const double> z,
-                  std::span<double> y, double alpha = 1.0) const;
-
-  /// Block variant: Y += alpha * P^_id * Z with Z an s_eff(id) x B view
-  /// and Y a node-size x B view. Dense factors apply as a single GEMM
-  /// across the batch; in compact_w mode each T stencil is telescoped
-  /// once for all B columns (instead of once per column), which is where
-  /// the multi-RHS solve's factor-traffic saving comes from.
+  /// compact_w is on — each stencil telescoped once for all B columns,
+  /// which is where the multi-RHS solve's factor-traffic saving comes
+  /// from.
   void apply_phat(index_t id, la::ConstMatrixView z, la::MatrixView y,
                   double alpha = 1.0) const;
+
+  /// Single-vector form (B = 1): |y| = node size, |z| = s_eff(id).
+  void apply_phat(index_t id, std::span<const double> z,
+                  std::span<double> y, double alpha = 1.0) const;
 
   /// Materialize P^_id (|id| x s_eff) regardless of storage mode.
   Matrix dense_phat(index_t id) const;

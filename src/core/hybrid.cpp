@@ -65,43 +65,59 @@ HybridSolver::HybridSolver(const HMatrix& h, HybridOptions opts)
   std::iota(all_ids_.begin(), all_ids_.end(), index_t{0});
 }
 
-void HybridSolver::matvec_v(std::span<const double> q,
-                            std::span<double> z) const {
-  if (static_cast<index_t>(z.size()) != reduced_size_ ||
-      static_cast<index_t>(q.size()) != h_->n())
+void HybridSolver::matvec_v(la::ConstMatrixView q, la::MatrixView z) const {
+  if (z.rows() != reduced_size_ || q.rows() != h_->n() ||
+      z.cols() != q.cols())
     throw std::invalid_argument("matvec_v: size mismatch");
-  std::fill(z.begin(), z.end(), 0.0);
+  const index_t nrhs = q.cols();
+  for (index_t j = 0; j < nrhs; ++j)
+    std::fill(z.col(j), z.col(j) + z.rows(), 0.0);
   for (size_t ai = 0; ai < frontier_.size(); ++ai) {
     const index_t a = frontier_[ai];
     const tree::Node& nd = h_->tree().node(a);
     const auto& skel = h_->skeleton(a).skel;
-    auto za = z.subspan(static_cast<size_t>(offsets_[ai]), skel.size());
-    // K(a~, X \ a) q = K(a~, X) q - K(a~, X_a) q_a: two fused sweeps,
+    la::MatrixView za =
+        z.block(offsets_[ai], 0, static_cast<index_t>(skel.size()), nrhs);
+    // K(a~, X \ a) Q = K(a~, X) Q - K(a~, X_a) Q_a: two fused sweeps,
     // nothing materialized (matrix-free V, the paper's storage saving).
-    kernel::gsks_apply(h_->km(), skel, all_ids_, q, za, 1.0);
+    kernel::gsks_apply_block(h_->km(), skel, all_ids_, q, za, 1.0);
     std::vector<index_t> own(static_cast<size_t>(nd.size()));
     std::iota(own.begin(), own.end(), nd.begin);
-    kernel::gsks_apply(h_->km(), skel, own,
-                       q.subspan(static_cast<size_t>(nd.begin),
-                                 static_cast<size_t>(nd.size())),
-                       za, -1.0);
+    kernel::gsks_apply_block(h_->km(), skel, own,
+                             q.block(nd.begin, 0, nd.size(), nrhs), za, -1.0);
   }
+}
+
+void HybridSolver::matvec_w(la::ConstMatrixView z, la::MatrixView q,
+                            double alpha) const {
+  if (z.rows() != reduced_size_ || q.rows() != h_->n() ||
+      z.cols() != q.cols())
+    throw std::invalid_argument("matvec_w: size mismatch");
+  const index_t nrhs = z.cols();
+  for (size_t ai = 0; ai < frontier_.size(); ++ai) {
+    const index_t a = frontier_[ai];
+    const tree::Node& nd = h_->tree().node(a);
+    const auto sa = static_cast<index_t>(h_->skeleton(a).skel.size());
+    ft_.apply_phat(a, z.block(offsets_[ai], 0, sa, nrhs),
+                   q.block(nd.begin, 0, nd.size(), nrhs), alpha);
+  }
+}
+
+void HybridSolver::matvec_v(std::span<const double> q,
+                            std::span<double> z) const {
+  const auto nq = static_cast<index_t>(q.size());
+  const auto nz = static_cast<index_t>(z.size());
+  matvec_v(la::ConstMatrixView(q.data(), nq, 1, nq),
+           la::MatrixView(z.data(), nz, 1, nz));
 }
 
 void HybridSolver::matvec_w(std::span<const double> z,
                             std::span<double> q) const {
-  if (static_cast<index_t>(z.size()) != reduced_size_ ||
-      static_cast<index_t>(q.size()) != h_->n())
-    throw std::invalid_argument("matvec_w: size mismatch");
+  const auto nz = static_cast<index_t>(z.size());
+  const auto nq = static_cast<index_t>(q.size());
   std::fill(q.begin(), q.end(), 0.0);
-  for (size_t ai = 0; ai < frontier_.size(); ++ai) {
-    const index_t a = frontier_[ai];
-    const tree::Node& nd = h_->tree().node(a);
-    const size_t sa = h_->skeleton(a).skel.size();
-    ft_.apply_phat(a, z.subspan(static_cast<size_t>(offsets_[ai]), sa),
-                   q.subspan(static_cast<size_t>(nd.begin),
-                             static_cast<size_t>(nd.size())));
-  }
+  matvec_w(la::ConstMatrixView(z.data(), nz, 1, nz),
+           la::MatrixView(q.data(), nq, 1, nq), 1.0);
 }
 
 void HybridSolver::reduced_apply(std::span<const double> z,
@@ -112,57 +128,11 @@ void HybridSolver::reduced_apply(std::span<const double> z,
   for (size_t i = 0; i < z.size(); ++i) y[i] += z[i];
 }
 
-std::vector<double> HybridSolver::solve(std::span<const double> u,
-                                        const CancelToken* cancel) const {
-  if (static_cast<index_t>(u.size()) != h_->n())
-    throw std::invalid_argument("HybridSolver::solve: size mismatch");
-  obs::ScopedTimer t_solve("solve");
-
-  std::vector<double> ut = h_->to_tree_order(u);
-
-  if (frontier_.empty()) {  // Single-leaf degenerate case.
-    ft_.solve_subtree(h_->tree().root(), std::span<double>(ut), cancel);
-    return h_->from_tree_order(ut);
-  }
-
-  // Algorithm II.6. Step 1: w = D^-1 u on every frontier subtree.
-  std::vector<double> w = ut;
-  for (index_t a : frontier_) {
-    if (cancel) cancel->check("HybridSolver::solve");
-    const tree::Node& nd = h_->tree().node(a);
-    ft_.solve_subtree(a,
-                      std::span<double>(w.data() + nd.begin,
-                                        static_cast<size_t>(nd.size())),
-                      cancel);
-  }
-
-  if (reduced_size_ == 0) return h_->from_tree_order(w);
-
-  // Step 2: rhs = V w; step 3: solve (I + VW) z = rhs with GMRES. The
-  // token rides into the Krylov loop through GmresOptions.
-  std::vector<double> rhs(static_cast<size_t>(reduced_size_), 0.0);
-  matvec_v(w, rhs);
-  iter::GmresOptions gopts = opts_.gmres;
-  if (cancel) gopts.cancel = cancel;
-  last_ = iter::gmres(
-      reduced_size_,
-      [this](std::span<const double> z, std::span<double> y) {
-        reduced_apply(z, y);
-      },
-      rhs, gopts);
-
-  // Step 4: x = w - W z.
-  std::vector<double> wz(static_cast<size_t>(h_->n()), 0.0);
-  matvec_w(last_.x, wz);
-  for (size_t i = 0; i < w.size(); ++i) w[i] -= wz[i];
-  return h_->from_tree_order(w);
-}
-
 Matrix HybridSolver::solve(const Matrix& u,
                            const CancelToken* cancel) const {
   const index_t n = h_->n();
   if (u.rows() != n)
-    throw std::invalid_argument("HybridSolver::solve: block shape mismatch");
+    throw std::invalid_argument("HybridSolver::solve: size mismatch");
   obs::ScopedTimer t_solve("solve");
   const index_t nrhs = u.cols();
 
@@ -188,22 +158,7 @@ Matrix HybridSolver::solve(const Matrix& u,
       // Step 2: RHS = V W, fused block sweeps (each kernel tile is
       // evaluated once for all B columns).
       Matrix rhs(reduced_size_, nrhs);
-      la::MatrixView rhsv(rhs);
-      for (size_t ai = 0; ai < frontier_.size(); ++ai) {
-        const index_t a = frontier_[ai];
-        const tree::Node& nd = h_->tree().node(a);
-        const auto& skel = h_->skeleton(a).skel;
-        const index_t sa = static_cast<index_t>(skel.size());
-        la::MatrixView za = rhsv.block(offsets_[ai], 0, sa, nrhs);
-        kernel::gsks_apply_block(h_->km(), skel, all_ids_,
-                                 la::ConstMatrixView(wv), za, 1.0);
-        std::vector<index_t> own(static_cast<size_t>(nd.size()));
-        std::iota(own.begin(), own.end(), nd.begin);
-        kernel::gsks_apply_block(
-            h_->km(), skel, own,
-            la::ConstMatrixView(wv.block(nd.begin, 0, nd.size(), nrhs)), za,
-            -1.0);
-      }
+      matvec_v(la::ConstMatrixView(w), rhs);
 
       // Step 3: (I + VW) z = rhs, one GMRES per column (Krylov spaces
       // are per-RHS; everything around them is batched).
@@ -224,15 +179,7 @@ Matrix HybridSolver::solve(const Matrix& u,
 
       // Step 4: X = W - W_mat Z, batched P^ applications with alpha=-1
       // accumulating straight into w.
-      const la::ConstMatrixView zv(z);
-      for (size_t ai = 0; ai < frontier_.size(); ++ai) {
-        const index_t a = frontier_[ai];
-        const tree::Node& nd = h_->tree().node(a);
-        const index_t sa =
-            static_cast<index_t>(h_->skeleton(a).skel.size());
-        ft_.apply_phat(a, zv.block(offsets_[ai], 0, sa, nrhs),
-                       wv.block(nd.begin, 0, nd.size(), nrhs), -1.0);
-      }
+      matvec_w(la::ConstMatrixView(z), wv, -1.0);
     }
   }
 
@@ -243,6 +190,14 @@ Matrix HybridSolver::solve(const Matrix& u,
     std::copy(xo.begin(), xo.end(), x.col(j));
   }
   return x;
+}
+
+std::vector<double> HybridSolver::solve(std::span<const double> u,
+                                        const CancelToken* cancel) const {
+  Matrix um(static_cast<index_t>(u.size()), 1);
+  std::copy(u.begin(), u.end(), um.data());
+  const Matrix x = solve(um, cancel);
+  return std::vector<double>(x.data(), x.data() + x.size());
 }
 
 SolveStatus HybridSolver::solve_with_status(std::span<const double> u,

@@ -38,21 +38,20 @@ class HybridSolver {
   /// Factorizes the frontier subtrees on construction.
   HybridSolver(const HMatrix& h, HybridOptions opts);
 
-  /// Solve (lambda I + K~) x = u (vectors in original point order).
-  /// Records the reduced-system GMRES trace (last_gmres()). `cancel`
-  /// (optional) is checked between frontier subtrees and at every
-  /// reduced-system GMRES iteration; an expired token aborts with
+  /// Solve (lambda I + K~) X = U for B >= 1 right-hand sides (columns
+  /// of u, original point order). The linear stages of Algorithm II.6
+  /// are batched — D^-1 as in-place block subtree solves, V via fused
+  /// block kernel summation, W as batched P^ applications — while the
+  /// reduced-system GMRES (step 3) stays per column (a Krylov space is
+  /// per-RHS). last_gmres() reflects the final column afterwards.
+  /// `cancel` (optional) is checked between frontier subtrees and at
+  /// every reduced-system GMRES iteration; an expired token aborts with
   /// core::CancelledError.
+  Matrix solve(const Matrix& u, const CancelToken* cancel = nullptr) const;
+
+  /// Single-vector form: the B = 1 case of the block solve.
   std::vector<double> solve(std::span<const double> u,
                             const CancelToken* cancel = nullptr) const;
-
-  /// Block solve for B right-hand sides (columns of u). The linear
-  /// stages of Algorithm II.6 are batched — D^-1 as in-place block
-  /// subtree solves, V via fused block kernel summation, W as batched
-  /// P^ applications — while the reduced-system GMRES (step 3) stays
-  /// per column (a Krylov space is per-RHS). last_gmres() reflects the
-  /// final column afterwards.
-  Matrix solve(const Matrix& u, const CancelToken* cancel = nullptr) const;
 
   /// Guarded solve with graceful degradation: validates input/output,
   /// measures the true residual, and — when escalate_residual_tol is set
@@ -75,10 +74,18 @@ class HybridSolver {
 
   // -- Exposed for tests and the distributed driver --------------------
 
-  /// z = V q (Algorithm II.8): q length N (permuted order), z length S.
-  void matvec_v(std::span<const double> q, std::span<double> z) const;
+  /// Z = V Q (Algorithm II.8) for B >= 1 columns: Q is N x B (permuted
+  /// order), Z is S x B. Fused block kernel sweeps evaluate each kernel
+  /// tile once for all B columns.
+  void matvec_v(la::ConstMatrixView q, la::MatrixView z) const;
 
-  /// q = W z (Algorithm II.7): z length S, q length N (permuted order).
+  /// Q += alpha W Z (Algorithm II.7) for B >= 1 columns: Z is S x B, Q
+  /// is N x B (permuted order); one batched P^ application per frontier
+  /// node.
+  void matvec_w(la::ConstMatrixView z, la::MatrixView q, double alpha) const;
+
+  /// Single-vector forms: z = V q and q = W z.
+  void matvec_v(std::span<const double> q, std::span<double> z) const;
   void matvec_w(std::span<const double> z, std::span<double> q) const;
 
   /// y = (I + V W) z, the reduced operator handed to GMRES.

@@ -8,6 +8,7 @@
 #include "obs/obs.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -90,12 +91,10 @@ VerifyOutcome FastDirectSolver::solve_verified(std::span<const double> u,
 
 void FastDirectSolver::solve(std::span<const double> u, std::span<double> x,
                              const CancelToken* cancel) const {
-  obs::ScopedTimer t("solve");
-  const HMatrix& h = ft_.hmatrix();
-  std::vector<double> ut = h.to_tree_order(u);
-  ft_.solve_subtree(h.tree().root(), std::span<double>(ut), cancel);
-  std::vector<double> xo = h.from_tree_order(ut);
-  std::copy(xo.begin(), xo.end(), x.begin());
+  Matrix um(static_cast<index_t>(u.size()), 1);
+  std::copy(u.begin(), u.end(), um.data());
+  const Matrix xm = solve(um, cancel);
+  std::copy(xm.data(), xm.data() + xm.size(), x.begin());
 }
 
 std::vector<double> FastDirectSolver::solve(std::span<const double> u,
@@ -111,9 +110,11 @@ Matrix FastDirectSolver::solve(const Matrix& u,
   // into tree order, run the in-place block solve_subtree (factors are
   // streamed once for the whole batch), permute back. Only the O(N B)
   // permutations stay per-column.
-  obs::ScopedTimer t("solve");
   const HMatrix& h = ft_.hmatrix();
   const index_t n = u.rows();
+  if (n != h.n())
+    throw std::invalid_argument("FastDirectSolver::solve: size mismatch");
+  obs::ScopedTimer t("solve");
   Matrix x(n, u.cols());
   for (index_t j = 0; j < u.cols(); ++j) {
     std::vector<double> ut = h.to_tree_order(

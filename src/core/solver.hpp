@@ -28,17 +28,18 @@ class FastDirectSolver {
   /// done for different values of lambda", §I).
   void refactorize(double lambda);
 
-  /// Solve (lambda I + K~) x = u. Vectors are in the caller's original
-  /// point order. `cancel` (optional) is checked at the internal-node
-  /// boundaries of the telescoping recursion; an expired token aborts
-  /// the solve with core::CancelledError (see core/cancel.hpp).
+  /// Solve (lambda I + K~) X = U for B >= 1 right-hand sides (columns
+  /// of u, in the caller's original point order). `cancel` (optional)
+  /// is checked at the internal-node boundaries of the telescoping
+  /// recursion; an expired token aborts the solve with
+  /// core::CancelledError (see core/cancel.hpp).
+  Matrix solve(const Matrix& u, const CancelToken* cancel = nullptr) const;
+
+  /// Single-vector forms: the B = 1 case of the block solve.
   void solve(std::span<const double> u, std::span<double> x,
              const CancelToken* cancel = nullptr) const;
   std::vector<double> solve(std::span<const double> u,
                             const CancelToken* cancel = nullptr) const;
-
-  /// Block solve for multiple right-hand sides (columns of u).
-  Matrix solve(const Matrix& u, const CancelToken* cancel = nullptr) const;
 
   /// Guarded solve: validates the input, solves, validates the output,
   /// and returns a structured outcome including the true relative

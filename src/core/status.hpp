@@ -58,6 +58,8 @@ struct [[nodiscard]] FactorStatus {
   [[nodiscard]] std::string message() const;
 };
 
+/// Declared in increasing severity: a batch status keeps the max over
+/// its columns.
 enum class SolveCode {
   Ok,               ///< Clean solve.
   ShiftedDiagonal,  ///< Solved with diagonal-shifted factors.

@@ -26,13 +26,12 @@ bool should_verify(const VerifyPolicy& p, std::uint64_t solve_index) {
   return false;
 }
 
-void verify_apply(const FastDirectSolver& s, const VerifyPolicy& p,
+void verify_apply(const HMatrix& h, double lambda, const VerifyPolicy& p,
                   std::span<const double> x, std::span<double> y) {
-  const HMatrix& h = s.factor_tree().hmatrix();
   if (p.op == VerifyPolicy::Operator::Treecode)
-    h.apply_source(x, y, s.lambda());
+    h.apply_source(x, y, lambda);
   else
-    h.apply(x, y, s.lambda());
+    h.apply(x, y, lambda);
 }
 
 namespace {
@@ -71,7 +70,13 @@ double escalate_rung(const VerifyOps& ops, const VerifyPolicy& p,
   go.rtol = p.target_residual;
   go.record_history = false;
   go.cancel = cancel;
-  go.right_precond = ops.solve;
+  go.right_precond = [&ops](std::span<const double> in,
+                            std::span<double> y) {
+    Matrix m(static_cast<index_t>(in.size()), 1);
+    std::copy(in.begin(), in.end(), m.data());
+    const Matrix q = ops.solve(m);
+    std::copy(q.data(), q.data() + q.size(), y.begin());
+  };
   const iter::GmresResult gr =
       iter::gmres(static_cast<index_t>(b.size()), ops.apply, b, go);
   // Trust a measured residual, not the Givens estimate: the candidate
@@ -86,62 +91,6 @@ double escalate_rung(const VerifyOps& ops, const VerifyPolicy& p,
 }
 
 }  // namespace
-
-VerifyOutcome certify_and_refine_ops(const VerifyOps& ops,
-                                     std::span<const double> b,
-                                     std::span<double> x,
-                                     const VerifyPolicy& p,
-                                     const CancelToken* cancel) {
-  VerifyOutcome out;
-  const auto t0 = std::chrono::steady_clock::now();
-  out.measured = true;
-  if (ops.emit_obs) obs::add("verify.checks");
-
-  const size_t n = x.size();
-  std::vector<double> r(n, 0.0);
-  double rel = residual_into(ops, b, x, r);
-
-  if (!certified(rel, p)) {
-    if (ops.emit_obs) obs::add("verify.fail");
-    // Rung 1: fixed-point refinement x += F⁻¹(b − A x). Contraction
-    // factor ≈ ‖I − F⁻¹A‖, so each step multiplies the error by the
-    // factor's approximation quality; stop on target or stagnation.
-    std::vector<double> dx(n, 0.0);
-    for (int step = 0; step < p.max_refine_steps; ++step) {
-      if (!std::isfinite(rel)) break;  // NaN/Inf: refinement can't help.
-      if (cancel) cancel->check("core::certify_and_refine");
-      ops.solve(r, dx);
-      const double prev = rel;
-      for (size_t i = 0; i < n; ++i) x[i] += dx[i];
-      rel = residual_into(ops, b, x, r);
-      if (ops.emit_obs) obs::add("refine.steps");
-      ++out.refine_steps;
-      if (certified(rel, p)) break;
-      if (!std::isfinite(rel) || rel >= p.min_step_improvement * prev) {
-        if (!std::isfinite(rel) || rel > prev) {
-          // The step made things worse: roll it back.
-          for (size_t i = 0; i < n; ++i) x[i] -= dx[i];
-          rel = residual_into(ops, b, x, r);
-        }
-        break;  // Stagnated above target.
-      }
-    }
-    // Rung 2: factor-preconditioned GMRES.
-    if (!certified(rel, p) && p.escalate) {
-      if (cancel) cancel->check("core::certify_and_refine");
-      rel = escalate_rung(ops, p, b, x, rel, cancel);
-      ++out.escalations;
-    }
-  }
-
-  out.residual = rel;
-  out.certified = certified(rel, p);
-  if (ops.emit_obs) {
-    if (std::isfinite(rel)) obs::hist("verify.residual", rel);
-    obs::hist("verify.seconds", elapsed_seconds(t0));
-  }
-  return out;
-}
 
 std::vector<VerifyOutcome> certify_and_refine_block_ops(
     const VerifyOps& ops, const Matrix& b, Matrix& x, const VerifyPolicy& p,
@@ -174,26 +123,19 @@ std::vector<VerifyOutcome> certify_and_refine_block_ops(
     }
   }
 
-  // Rung 1, batched: one narrow blocked correction solve per step over
-  // the still-failing columns (per-column blame, batched repair).
-  std::vector<double> dxcol(static_cast<size_t>(n), 0.0);
+  // Rung 1: fixed-point refinement x += F⁻¹(b − A x) with one narrow
+  // blocked correction solve per step over the still-failing columns
+  // (per-column blame, batched repair). Contraction factor ≈ ‖I − F⁻¹A‖,
+  // so each step multiplies the error by the factor's approximation
+  // quality; a column stops on target or stagnation.
   for (int step = 0; step < p.max_refine_steps && !failing.empty();
        ++step) {
     if (cancel) cancel->check("core::certify_and_refine_block");
-    Matrix dxf(n, static_cast<index_t>(failing.size()));
-    if (ops.solve_block) {
-      Matrix rf(n, static_cast<index_t>(failing.size()));
-      for (size_t i = 0; i < failing.size(); ++i)
-        std::copy(r.col(failing[i]), r.col(failing[i]) + n,
-                  rf.col(static_cast<index_t>(i)));
-      dxf = ops.solve_block(rf);
-    } else {
-      for (size_t i = 0; i < failing.size(); ++i) {
-        ops.solve(col_span(r, failing[i]), dxcol);
-        std::copy(dxcol.begin(), dxcol.end(),
-                  dxf.col(static_cast<index_t>(i)));
-      }
-    }
+    Matrix rf(n, static_cast<index_t>(failing.size()));
+    for (size_t i = 0; i < failing.size(); ++i)
+      std::copy(r.col(failing[i]), r.col(failing[i]) + n,
+                rf.col(static_cast<index_t>(i)));
+    const Matrix dxf = ops.solve(rf);
     std::vector<index_t> still;
     for (size_t i = 0; i < failing.size(); ++i) {
       const index_t j = failing[i];
@@ -209,6 +151,7 @@ std::vector<VerifyOutcome> certify_and_refine_block_ops(
       if (certified(now, p)) continue;
       if (!std::isfinite(now) || now >= p.min_step_improvement * prev) {
         if (!std::isfinite(now) || now > prev) {
+          // The step made things worse: roll it back.
           for (index_t k = 0; k < n; ++k) xj[k] -= dx[k];
           rel[static_cast<size_t>(j)] = residual_into(
               ops, col_span(b, j), col_span(x, j), col_span_mut(r, j));
@@ -220,7 +163,8 @@ std::vector<VerifyOutcome> certify_and_refine_block_ops(
     failing.swap(still);
   }
 
-  // Rung 2, per column: a Krylov space is per-RHS.
+  // Rung 2, factor-preconditioned GMRES per column: a Krylov space is
+  // per-RHS.
   for (index_t j = 0; j < cols; ++j) {
     if (certified(rel[static_cast<size_t>(j)], p) || !p.escalate) continue;
     if (cancel) cancel->check("core::certify_and_refine_block");
@@ -241,33 +185,43 @@ std::vector<VerifyOutcome> certify_and_refine_block_ops(
   return outs;
 }
 
+void certify_into_status(const VerifyOps& ops, const Matrix& b, Matrix& x,
+                         const VerifyPolicy& p, SolveStatus& st) {
+  const std::vector<VerifyOutcome> vos =
+      certify_and_refine_block_ops(ops, b, x, p);
+  st.residual = 0.0;
+  bool uncertified = false;
+  int escalations = 0;
+  for (const VerifyOutcome& vo : vos) {
+    if (!(vo.residual <= st.residual)) st.residual = vo.residual;  // NaN too.
+    uncertified = uncertified || !vo.certified;
+    escalations += vo.escalations;
+  }
+  st.escalations += escalations;
+  if (uncertified) {
+    st.code = SolveCode::NotConverged;
+    st.detail = "certified residual misses the verify target after the "
+                "escalation ladder";
+  } else if (escalations > 0) {
+    st.code = SolveCode::Escalated;
+  }
+}
+
 namespace {
 
 VerifyOps solver_ops(const FastDirectSolver& s, const VerifyPolicy& p,
                      const CancelToken* cancel) {
   VerifyOps ops;
   ops.apply = [&s, &p](std::span<const double> in, std::span<double> y) {
-    verify_apply(s, p, in, y);
+    verify_apply(s.factor_tree().hmatrix(), s.lambda(), p, in, y);
   };
-  ops.solve = [&s, cancel](std::span<const double> in, std::span<double> y) {
-    s.solve(in, y, cancel);
-  };
-  ops.solve_block = [&s, cancel](const Matrix& rhs) {
+  ops.solve = [&s, cancel](const Matrix& rhs) {
     return s.solve(rhs, cancel);
   };
   return ops;
 }
 
 }  // namespace
-
-VerifyOutcome certify_and_refine(const FastDirectSolver& s,
-                                 std::span<const double> b,
-                                 std::span<double> x, const VerifyPolicy& p,
-                                 std::uint64_t solve_index,
-                                 const CancelToken* cancel) {
-  if (!should_verify(p, solve_index)) return {};
-  return certify_and_refine_ops(solver_ops(s, p, cancel), b, x, p, cancel);
-}
 
 std::vector<VerifyOutcome> certify_and_refine_block(
     const FastDirectSolver& s, const Matrix& b, Matrix& x,
@@ -277,6 +231,21 @@ std::vector<VerifyOutcome> certify_and_refine_block(
     return std::vector<VerifyOutcome>(static_cast<size_t>(b.cols()));
   return certify_and_refine_block_ops(solver_ops(s, p, cancel), b, x, p,
                                       cancel);
+}
+
+VerifyOutcome certify_and_refine(const FastDirectSolver& s,
+                                 std::span<const double> b,
+                                 std::span<double> x, const VerifyPolicy& p,
+                                 std::uint64_t solve_index,
+                                 const CancelToken* cancel) {
+  const auto n = static_cast<index_t>(x.size());
+  Matrix bm(n, 1), xm(n, 1);
+  std::copy(b.begin(), b.end(), bm.data());
+  std::copy(x.begin(), x.end(), xm.data());
+  const VerifyOutcome out =
+      certify_and_refine_block(s, bm, xm, p, solve_index, cancel).front();
+  std::copy(xm.data(), xm.data() + n, x.begin());
+  return out;
 }
 
 }  // namespace fdks::core

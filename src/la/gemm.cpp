@@ -224,6 +224,14 @@ void gemm(double alpha, ConstMatrixView a, ConstMatrixView b, double beta,
   const index_t m = a.rows();
   const index_t k = a.cols();
   const index_t n = b.cols();
+  if (n == 1) {
+    // One column is a GEMV (see gemm.hpp): the B = 1 block solve must
+    // not pay GEMM packing, and counts exactly as the vector path did.
+    obs::add("gemv.calls");
+    obs::add("flops.gemv", 2.0 * double(m) * double(k));
+    gemv_raw(m, k, alpha, a.data(), a.ld(), b.data(), beta, c.data());
+    return;
+  }
 #ifdef _OPENMP
   // Same column-block split as the Matrix overload above: the batched
   // multi-RHS solve path funnels its big [n x B] panels through this

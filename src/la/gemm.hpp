@@ -14,7 +14,11 @@
 // alpha == 0 with beta != 1, which still mutates C) is visible to
 // profiling. `flops.*` accumulates only the multiply-add work actually
 // executed (2mnk for GEMM, 2mn for GEMV); scale-only and empty calls
-// therefore contribute a call with zero flops.
+// therefore contribute a call with zero flops. One exception to "a
+// routine counts itself": the view gemm() with n == 1 runs gemv_raw
+// and counts one `gemv.calls` plus 2mk `flops.gemv` (no `gemm.*`), so a
+// one-column block solve counts exactly as a vector solve. gemv_raw
+// itself never counts; its callers do.
 #pragma once
 
 #include <span>
@@ -41,7 +45,8 @@ void gemm(Trans ta, Trans tb, double alpha, const Matrix& a, const Matrix& b,
 /// C = beta*C + alpha * A * B on strided column-major views (no
 /// transposes). Shapes are validated. This is the workhorse of the
 /// block (multi-RHS) solve path: skeleton applications on an [n x B]
-/// view become one GEMM instead of B GEMVs.
+/// view become one GEMM instead of B GEMVs. A single column (n == 1)
+/// runs as a GEMV, bit-identical to gemv() and counted as one.
 void gemm(double alpha, ConstMatrixView a, ConstMatrixView b, double beta,
           MatrixView c);
 

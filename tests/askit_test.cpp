@@ -50,6 +50,7 @@ TEST(HMatrix, BuildsAndReportsStats) {
   EXPECT_GT(h.stats().skeletonized_nodes, 0);
   EXPECT_GT(h.stats().frontier_size, 0);
   EXPECT_LE(h.stats().max_rank_used, 32);
+  EXPECT_GT(h.stats().tree_seconds, 0.0);
 }
 
 TEST(HMatrix, SkeletonIsSubsetOfNodePoints) {

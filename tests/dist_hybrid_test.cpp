@@ -110,6 +110,39 @@ TEST(DistHybrid, BlockSolveMatchesSequentialBlock) {
   EXPECT_LT(worst, 1e-9);
 }
 
+// A batch's status is its worst column's: a first column whose reduced
+// GMRES is capped short of convergence must not be hidden behind a last
+// column that converges (a zero right-hand side converges at once), and
+// the batch keeps the code a single-column solve of that column reports.
+TEST(DistHybrid, BlockStatusReportsWorstColumn) {
+  const index_t n = 512;
+  Matrix pts = clustered_points(3, n, 23);
+  askit::HMatrix h(pts, Kernel::gaussian(1.0), restricted(3));
+  HybridOptions o = hopts(0.8);
+  o.gmres.max_iters = 1;
+  const std::vector<double> u0 = random_vec(n, 24);
+  Matrix u(n, 2);  // Column 1 stays zero.
+  std::copy(u0.begin(), u0.end(), u.col(0));
+
+  SolveStatus solo, batch;
+  bool last_converged = false;
+  mpisim::run(2, [&](mpisim::Comm& comm) {
+    DistributedHybridSolver ds(h, o, comm);
+    (void)ds.solve(u0);
+    const SolveStatus s0 = ds.last_status();
+    (void)ds.solve(u);
+    if (comm.rank() == 0) {
+      solo = s0;
+      batch = ds.last_status();
+      last_converged = ds.last_gmres().converged;
+    }
+  });
+  ASSERT_FALSE(solo.ok()) << solo.message();
+  EXPECT_TRUE(last_converged);
+  EXPECT_FALSE(batch.ok()) << batch.message();
+  EXPECT_EQ(batch.code, solo.code) << batch.message();
+}
+
 TEST(DistHybrid, ResidualAgainstCompressedOperator) {
   const index_t n = 512;
   Matrix pts = clustered_points(3, n, 3);

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <span>
 #include <tuple>
+#include <vector>
 
 #include "la/gemm.hpp"
 #include "la/matrix.hpp"
@@ -129,7 +131,8 @@ TEST(GemmRaw, StridedSubBlock) {
 // throwing call must not inflate the flop accounting the bench
 // regression gate compares. Raw-pointer routines (gemm_raw) count the
 // call at entry because the beta-scale mutates C even when the multiply
-// is skipped; flops.* still only counts executed multiply work.
+// is skipped; flops.* still only counts executed multiply work. A
+// one-column view gemm is a GEMV and counts as one.
 
 double counter_of(const char* name) {
   const obs::Snapshot s = obs::snapshot();
@@ -203,6 +206,34 @@ TEST(Counters, ExecutedGemmCountsFlops) {
   EXPECT_GE(counter_of("gemm.calls"), calls0 + 1.0);
   EXPECT_DOUBLE_EQ(counter_of("flops.gemm"),
                    flops0 + 2.0 * 4.0 * 5.0 * 3.0);
+}
+
+TEST(Counters, OneColumnViewGemmIsCountedGemv) {
+  ObsOn obs_on;
+  // Large enough that a packed GEMM would round differently; A is a
+  // strided sub-block so the view's leading dimension is exercised.
+  std::mt19937_64 rng(12);
+  const Matrix big = Matrix::random_gaussian(310, 200, rng);
+  const Matrix a = big.block(0, 0, 300, 200);
+  const ConstMatrixView av = ConstMatrixView(big).block(0, 0, 300, 200);
+  Matrix b = Matrix::random_gaussian(200, 1, rng);
+  Matrix c = Matrix::random_gaussian(300, 1, rng);
+  std::vector<double> y(c.data(), c.data() + c.size());
+
+  const double gemv_calls0 = counter_of("gemv.calls");
+  const double gemv_flops0 = counter_of("flops.gemv");
+  gemv(Trans::No, -1.5, a, std::span<const double>(b.data(), 200), 0.5, y);
+  const double gemm_calls0 = counter_of("gemm.calls");
+  const double gemm_flops0 = counter_of("flops.gemm");
+  gemm(-1.5, av, ConstMatrixView(b), 0.5, MatrixView(c));
+
+  for (index_t i = 0; i < 300; ++i)
+    EXPECT_EQ(c(i, 0), y[static_cast<size_t>(i)]) << "row " << i;
+  EXPECT_DOUBLE_EQ(counter_of("gemv.calls"), gemv_calls0 + 2.0);
+  EXPECT_DOUBLE_EQ(counter_of("flops.gemv"),
+                   gemv_flops0 + 2.0 * (2.0 * 300.0 * 200.0));
+  EXPECT_DOUBLE_EQ(counter_of("gemm.calls"), gemm_calls0);
+  EXPECT_DOUBLE_EQ(counter_of("flops.gemm"), gemm_flops0);
 }
 
 TEST(GemvRaw, MatchesGemv) {

@@ -151,8 +151,8 @@ TEST_F(SerializeTest, FactorTreeCheckpointRoundTripsBitExactly) {
   for (auto& v : u) v = g(rng);
   std::vector<double> x1 = h.to_tree_order(u);
   std::vector<double> x2 = x1;
-  ft.solve_subtree(root, x1);
-  back.solve_subtree(root, x2);
+  ft.solve_subtree(root, la::MatrixView(x1.data(), 256, 1, 256));
+  back.solve_subtree(root, la::MatrixView(x2.data(), 256, 1, 256));
   for (size_t i = 0; i < x1.size(); ++i)
     EXPECT_EQ(x1[i], x2[i]) << "restored factors must be bit-identical";
 

@@ -171,7 +171,7 @@ TEST(ApiMisuse, SolveBeforeFactorizeThrows) {
   askit::HMatrix h(p, Kernel::gaussian(1.0), cfg);
   core::SolverOptions so;
   core::FactorTree ft(h, so);
-  std::vector<double> u(static_cast<size_t>(n), 1.0);
+  Matrix u(n, 1, 1.0);
   EXPECT_THROW(ft.solve_subtree(h.tree().root(), u), std::logic_error);
 }
 
