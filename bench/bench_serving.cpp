@@ -42,7 +42,7 @@
 // Part 5, mode "smoke" (gated): the telemetry-overhead row. Three
 // paused 64-request bursts per arm, the arms interleaved — telemetry
 // off, then on (event log + SLO tracker + tail-trace sampling with
-// tracing live), off, on, ... with the scrape endpoint up throughout —
+// tracing live + metrics sampler + scrape endpoint), off, on, ... —
 // compared by min-of-3 burst wall time. The on/off ratio
 // is asserted (<= 1.05, relaxed to 1.5 below a 10 ms floor where the
 // clock tick dominates) and stamped, clamped to [0, 10], as
@@ -76,6 +76,7 @@
 #include <cstring>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -263,8 +264,9 @@ int main(int argc, char** argv) {
 
   // ---- Part 5 (smoke only): telemetry overhead + live scrape. ----
   // The whole live-telemetry stack (event log, SLO tracker, tail-trace
-  // sampling with tracing enabled, scrape endpoint) against the same
-  // burst with it all off. Deterministic side effects feed the gate:
+  // sampling with tracing enabled, metrics sampler, scrape endpoint)
+  // against the same burst with it all off, the two arms interleaved.
+  // Deterministic side effects feed the gate:
   // 3 bursts x 64 requests x 3 lifecycle events = 576 event-log lines,
   // 4 kept traces per fresh sampler (within one batch latency decreases
   // with submission order, so after the budget fills no later request
@@ -300,31 +302,37 @@ int main(int argc, char** argv) {
       return s;
     }());
     obs::trace::reset();
-    obs::Sampler sampler([] {
-      obs::SamplerOptions s;
-      s.interval = std::chrono::milliseconds(200);
-      return s;
-    }());
     obs::MetricsExporterOptions mo;
-    mo.render.sampler = &sampler;
-    obs::MetricsExporter exporter(mo);
+    std::optional<obs::Sampler> sampler;
+    std::optional<obs::MetricsExporter> exporter;
 
     // The arms alternate (off, on, off, on, ...) so that a slowdown of
     // the host lands on both arms instead of on whichever ran second.
-    // The sampler and scrape endpoint are process-level and stay up for
-    // both; the arms differ in the per-request telemetry.
+    // The sampler and scrape endpoint belong to the on arm: each on
+    // burst starts its own, and the off burst runs with none. The last
+    // pair stays up for the scrapes below.
     double sec_off = 0.0;
     double sec_on = 0.0;
     std::shared_ptr<serve::TailTraceSampler> last_tail;
     for (int rep = 0; rep < kRepeats; ++rep) {
+      exporter.reset();
+      sampler.reset();
       const double s_off =
           run_burst(off, 1700 + 100 * static_cast<uint64_t>(rep));
+
       serve::ServeOptions on = off;
       on.event_log = event_log;
       on.slo = slo;
       // Fresh tail budget per repeat: exactly 4 keeps each.
       last_tail = std::make_shared<serve::TailTraceSampler>();
       on.tail_trace = last_tail;
+      sampler.emplace([] {
+        obs::SamplerOptions s;
+        s.interval = std::chrono::milliseconds(200);
+        return s;
+      }());
+      mo.render.sampler = &*sampler;
+      exporter.emplace(mo);
       obs::trace::set_enabled(true);
       const double s_on =
           run_burst(on, 2300 + 100 * static_cast<uint64_t>(rep));
@@ -336,8 +344,8 @@ int main(int argc, char** argv) {
     // Live scrape while the process serves: every registered serve.*
     // key must be in the exposition, and the timer tree must carry the
     // serve.batch scope.
-    const std::string body = obs::http_get_metrics(exporter.port());
-    (void)obs::http_get_metrics(exporter.port());  // scrape #2 (gated).
+    const std::string body = obs::http_get_metrics(exporter->port());
+    (void)obs::http_get_metrics(exporter->port());  // scrape #2 (gated).
     for (const obs::keys::KeyInfo& k : obs::keys::kAll) {
       if (k.key.substr(0, 6) != "serve.") continue;
       if (k.kind != obs::keys::Kind::Counter &&

@@ -112,8 +112,9 @@ void DistributedHybridSolver::matvec_v_local(la::ConstMatrixView q_local,
   // tile evaluated once for all columns), own-diagonal-block subtracted
   // by the owner, then one AllReduce so all ranks hold the full V Q.
   const index_t nrhs = q_local.cols();
-  Matrix partial(reduced_size_, nrhs);
-  la::MatrixView pv(partial);
+  const index_t s = reduced_size_;
+  std::vector<double> partial(static_cast<size_t>(s * nrhs), 0.0);
+  const la::MatrixView pv(partial.data(), s, nrhs, s);
   std::vector<index_t> local_pts(static_cast<size_t>(local_end_ -
                                                      local_begin_));
   std::iota(local_pts.begin(), local_pts.end(), local_begin_);
@@ -135,11 +136,9 @@ void DistributedHybridSolver::matvec_v_local(la::ConstMatrixView q_local,
         pv.block(offsets_[ai], 0, static_cast<index_t>(skel.size()), nrhs),
         -1.0);
   }
-  std::vector<double> pflat(partial.data(), partial.data() + partial.size());
-  comm_.allreduce_sum(pflat);
+  comm_.allreduce_sum(partial);
   for (index_t j = 0; j < nrhs; ++j)
-    std::copy(pflat.begin() + j * reduced_size_,
-              pflat.begin() + (j + 1) * reduced_size_, z.col(j));
+    std::copy_n(partial.data() + j * s, s, z.col(j));
 }
 
 void DistributedHybridSolver::matvec_w_local(la::ConstMatrixView z,
@@ -210,8 +209,8 @@ Matrix DistributedHybridSolver::solve_impl(const Matrix& u) {
     matvec_w_local(la::ConstMatrixView(z), wv, -1.0);
   }
 
-  const std::vector<double> wflat(w.data(), w.data() + w.size());
-  const std::vector<double> gathered = comm_.allgatherv(wflat);
+  const std::vector<double> gathered =
+      comm_.allgatherv(std::span<const double>(w.data(), w.size()));
   Matrix x = gather_tree_order_block(*h_, comm_.size(), gathered, nrhs);
   for (index_t j = 0; j < nrhs; ++j) {
     const std::vector<double> xo = h_->from_tree_order(

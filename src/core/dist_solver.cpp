@@ -321,13 +321,13 @@ Matrix DistributedSolver::solve_impl(const Matrix& u) {
     const bool root_of_half = dl.half_comm.rank() == 0;
     const index_t s_sib = static_cast<index_t>(dl.sib_skel.size());
 
-    // T_sib = K(sibling~, {x}_i) W_i, fused over the block, reduced
-    // over my half (flattened column-major: ld == rows for Matrix).
-    Matrix tpart(s_sib, nrhs);
+    // T_sib = K(sibling~, {x}_i) W_i, fused over the block into a flat
+    // column-major [s_sib x B] panel, reduced over my half.
+    std::vector<double> tflat(static_cast<size_t>(s_sib * nrhs), 0.0);
     kernel::gsks_apply_block(h_->km(), dl.sib_skel, local_pts,
-                             la::ConstMatrixView(w), la::MatrixView(tpart),
+                             la::ConstMatrixView(w),
+                             la::MatrixView(tflat.data(), s_sib, nrhs, s_sib),
                              1.0);
-    std::vector<double> tflat(tpart.data(), tpart.data() + tpart.size());
     dl.half_comm.reduce_sum(tflat, 0);
 
     // Assemble [T_l~; T_r~] on comm rank 0, block-solve with Z, ship
@@ -368,8 +368,8 @@ Matrix DistributedSolver::solve_impl(const Matrix& u) {
   }
 
   // Assemble the full solution on every rank and undo the permutation.
-  const std::vector<double> wflat(w.data(), w.data() + w.size());
-  const std::vector<double> gathered = comm_.allgatherv(wflat);
+  const std::vector<double> gathered =
+      comm_.allgatherv(std::span<const double>(w.data(), w.size()));
   Matrix x = gather_tree_order_block(*h_, comm_.size(), gathered, nrhs);
   for (index_t j = 0; j < nrhs; ++j) {
     const std::vector<double> xo = h_->from_tree_order(

@@ -85,16 +85,21 @@ void gemm_raw(index_t m, index_t n, index_t k, double alpha, const double* a,
   if (m == 0 || n == 0 || k == 0 || alpha == 0.0) return;
   obs::add("flops.gemm", 2.0 * double(m) * double(n) * double(k));
 
-  // Small problems: skip the packing machinery entirely.
-  if (m * n * k <= 32 * 32 * 32) {
-    for (index_t j = 0; j < n; ++j)
-      for (index_t p = 0; p < k; ++p) {
+  // Small problems and panels narrower than one micro-tile (a 2..7
+  // column block solve would run the kNr-wide kernel mostly on zero
+  // padding): skip the packing machinery and stream each column of A
+  // once across all n columns of C. Every column of C sees the same
+  // operations, in the same order, as gemv_raw on that column.
+  if (m * n * k <= 32 * 32 * 32 || n < kNr) {
+    for (index_t p = 0; p < k; ++p) {
+      const double* acol = a + p * lda;
+      for (index_t j = 0; j < n; ++j) {
         const double bpj = alpha * b[p + j * ldb];
         if (bpj == 0.0) continue;
-        const double* acol = a + p * lda;
         double* ccol = c + j * ldc;
         for (index_t i = 0; i < m; ++i) ccol[i] += acol[i] * bpj;
       }
+    }
     return;
   }
 

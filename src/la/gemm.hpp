@@ -46,7 +46,10 @@ void gemm(Trans ta, Trans tb, double alpha, const Matrix& a, const Matrix& b,
 /// transposes). Shapes are validated. This is the workhorse of the
 /// block (multi-RHS) solve path: skeleton applications on an [n x B]
 /// view become one GEMM instead of B GEMVs. A single column (n == 1)
-/// runs as a GEMV, bit-identical to gemv() and counted as one.
+/// runs as a GEMV, bit-identical to gemv() and counted as one. Panels
+/// narrower than one micro-tile (2..7 columns) skip packing and stream
+/// A once; each column is then bit-identical to a gemv() on it, and
+/// the call still counts as one GEMM.
 void gemm(double alpha, ConstMatrixView a, ConstMatrixView b, double beta,
           MatrixView c);
 

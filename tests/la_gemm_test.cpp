@@ -132,7 +132,8 @@ TEST(GemmRaw, StridedSubBlock) {
 // regression gate compares. Raw-pointer routines (gemm_raw) count the
 // call at entry because the beta-scale mutates C even when the multiply
 // is skipped; flops.* still only counts executed multiply work. A
-// one-column view gemm is a GEMV and counts as one.
+// one-column view gemm is a GEMV and counts as one; a 2..7 column one
+// computes like per-column GEMVs but counts as the GEMM it is.
 
 double counter_of(const char* name) {
   const obs::Snapshot s = obs::snapshot();
@@ -234,6 +235,36 @@ TEST(Counters, OneColumnViewGemmIsCountedGemv) {
                    gemv_flops0 + 2.0 * (2.0 * 300.0 * 200.0));
   EXPECT_DOUBLE_EQ(counter_of("gemm.calls"), gemm_calls0);
   EXPECT_DOUBLE_EQ(counter_of("flops.gemm"), gemm_flops0);
+}
+
+TEST(Counters, NarrowViewGemmMatchesGemvPerColumn) {
+  ObsOn obs_on;
+  // 2..7 columns is narrower than one micro-tile: the panel streams A
+  // once, every column bit-identical to a GEMV, and still counts as
+  // one GEMM. Sizes are far above the small-problem cutoff.
+  std::mt19937_64 rng(13);
+  const Matrix big = Matrix::random_gaussian(310, 200, rng);
+  const Matrix a = big.block(0, 0, 300, 200);
+  const ConstMatrixView av = ConstMatrixView(big).block(0, 0, 300, 200);
+  for (index_t n = 2; n < 8; ++n) {
+    const Matrix b = Matrix::random_gaussian(200, n, rng);
+    Matrix c = Matrix::random_gaussian(300, n, rng);
+    Matrix want = c;
+    for (index_t j = 0; j < n; ++j)
+      gemv(Trans::No, -1.5, a,
+           std::span<const double>(b.col(j), 200),
+           0.5, std::span<double>(want.col(j), 300));
+    const double calls0 = counter_of("gemm.calls");
+    const double flops0 = counter_of("flops.gemm");
+    gemm(-1.5, av, ConstMatrixView(b), 0.5, MatrixView(c));
+    for (index_t j = 0; j < n; ++j)
+      for (index_t i = 0; i < 300; ++i)
+        ASSERT_EQ(c(i, j), want(i, j)) << "n " << n << " (" << i << ", "
+                                       << j << ")";
+    EXPECT_DOUBLE_EQ(counter_of("gemm.calls"), calls0 + 1.0);
+    EXPECT_DOUBLE_EQ(counter_of("flops.gemm"),
+                     flops0 + 2.0 * 300.0 * double(n) * 200.0);
+  }
 }
 
 TEST(GemvRaw, MatchesGemv) {
