@@ -404,16 +404,15 @@ int run_solve(const Args& a) {
     ho.direct.compact_w = a.compact_w;
     ho.direct.scheme = a.scheme;
     ho.direct.checkpoint_dir = a.checkpoint_dir;
-    // --verify: the guarded solve measures the true residual and walks
-    // the refinement/escalation ladder against this target.
-    if (a.verify && ho.escalate_residual_tol <= 0.0)
-      ho.escalate_residual_tol = 1e-6;
+    // --verify: the checked solve certifies the answer and walks the
+    // refinement/escalation ladder (policy default target 1e-6).
+    if (a.verify) ho.direct.verify.mode = core::VerifyMode::Always;
     core::HybridSolver solver(h, ho);
     if (ck) ckpt::mark_stage(a.checkpoint_dir, "factorize");
     warn_if_degraded(solver.factor_status());
     std::vector<double> x(u.size(), 0.0);
     if (a.verify) {
-      const core::SolveStatus st = solver.solve_with_status(u, x);
+      const core::SolveStatus st = solver.solve_checked(u, x);
       std::printf("verify: certified residual %.2e (%s), %d escalations\n",
                   st.residual, core::to_string(st.code), st.escalations);
     } else {
@@ -440,12 +439,9 @@ int run_solve(const Args& a) {
     warn_if_degraded(solver.factor_status());
     std::vector<double> x(u.size(), 0.0);
     if (a.verify) {
-      const core::VerifyOutcome vo = solver.solve_verified(u, x);
-      std::printf(
-          "verify: certified residual %.2e (%s), %d refine steps, "
-          "%d escalations\n",
-          vo.residual, vo.certified ? "certified" : "MISSED TARGET",
-          vo.refine_steps, vo.escalations);
+      const core::SolveStatus st = solver.solve_checked(u, x);
+      std::printf("verify: certified residual %.2e (%s), %d escalations\n",
+                  st.residual, core::to_string(st.code), st.escalations);
     } else {
       x = solver.solve(u);
     }

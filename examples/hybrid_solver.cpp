@@ -73,11 +73,13 @@ int main(int argc, char** argv) {
     core::HybridOptions ho;
     ho.direct.lambda = lambda;
     ho.gmres.rtol = 1e-10;
-    ho.escalate_residual_tol = 1e-6;  // Guardrail: auto-escalate if missed.
+    // Guardrail: certify every checked solve against the policy default
+    // target 1e-6, escalating through the ladder if it is missed.
+    ho.direct.verify.mode = core::VerifyMode::Always;
     core::HybridSolver hy(h, ho);
     const double tf = now_minus(t0);
     std::vector<double> x(static_cast<size_t>(n));
-    core::SolveStatus st = hy.solve_with_status(u, x);
+    core::SolveStatus st = hy.solve_checked(u, x);
     std::printf(
         "[hybrid] T=%7.3fs (factor %.3fs) reduced=%td ksp=%d r=%.2e "
         "mem=%.1fMB\n",

@@ -15,20 +15,6 @@
 
 namespace fdks::core {
 
-namespace {
-
-/// Why a reduced-system GMRES stopped short, as a solve code (Ok when it
-/// converged); std::max over a batch's columns keeps the worst.
-SolveCode gmres_code(const iter::GmresResult& g) {
-  if (g.converged) return SolveCode::Ok;
-  if (g.breakdown) return SolveCode::Breakdown;
-  if (g.stagnated) return SolveCode::Stagnated;
-  if (g.nonfinite) return SolveCode::NonFinite;
-  return SolveCode::NotConverged;
-}
-
-}  // namespace
-
 DistributedHybridSolver::DistributedHybridSolver(const HMatrix& h,
                                                  HybridOptions opts,
                                                  mpisim::Comm comm)
@@ -226,56 +212,21 @@ Matrix DistributedHybridSolver::solve(const Matrix& u) {
     throw std::invalid_argument("DistributedHybridSolver: size mismatch");
   Matrix x = solve_impl(u);
 
-  // Guardrail summary over the batch, worst column first (replicated
-  // data and a replicated reduced GMRES, so every rank derives the
-  // identical status without extra collectives).
-  SolveStatus st;
-  st.lambda_effective = factor_status_.lambda_effective;
-  st.shifted_nodes = factor_status_.shifted_nodes;
-  st.gmres_iterations = static_cast<int>(block_gmres_iters_);
-  st.residual = 0.0;
-  for (index_t j = 0; j < u.cols() && st.code == SolveCode::Ok; ++j) {
-    const std::span<const double> uc(u.col(j), static_cast<size_t>(n));
-    const std::span<const double> xc(x.col(j), static_cast<size_t>(n));
-    if (!all_finite(uc)) {
-      st.code = SolveCode::NonFinite;
-      st.detail = "right-hand side contains NaN/Inf";
-    } else if (!all_finite(xc)) {
-      st.code = SolveCode::NonFinite;
-      st.detail = factor_status_.code == FactorCode::NonFinite
-                      ? "solution contains NaN/Inf (factorization was "
-                        "already non-finite)"
-                      : "solution contains NaN/Inf";
-    } else {
-      st.residual = std::max(
-          st.residual, h_->relative_residual(xc, uc, opts_.direct.lambda));
-    }
-  }
-  if (st.code == SolveCode::Ok) {
-    if (block_gmres_code_ != SolveCode::Ok) {
-      st.code = block_gmres_code_;
-      st.detail = "reduced-system GMRES did not converge";
-    } else if (factor_status_.code == FactorCode::ShiftedDiagonal) {
-      st.code = SolveCode::ShiftedDiagonal;
-    }
-  }
-
-  // Collective certification ladder: u and x are replicated, so every
-  // rank takes the identical per-column decisions and each correction
-  // pass through solve_impl stays a collective Algorithm II.6 solve.
+  // Guard and certify (core/verify.hpp) with the worst column's reduced
+  // GMRES code, read before the ladder's correction passes reset it.
+  // Data and the reduced GMRES are replicated, so every rank derives the
+  // identical status and takes the identical per-column ladder
+  // decisions; each correction stays a collective Algorithm II.6 pass.
+  const SolveCode reduced_code = block_gmres_code_;
+  const auto reduced_iters = static_cast<int>(block_gmres_iters_);
   const VerifyPolicy& vp = opts_.direct.verify;
-  if (vp.enabled() && should_verify(vp, verify_seq_++) &&
-      st.code != SolveCode::NonFinite) {
-    VerifyOps ops;
-    ops.emit_obs = comm_.rank() == 0;
-    ops.apply = [this, &vp](std::span<const double> in,
-                            std::span<double> y) {
-      verify_apply(*h_, opts_.direct.lambda, vp, in, y);
-    };
-    ops.solve = [this](const Matrix& rhs) { return solve_impl(rhs); };
-    certify_into_status(ops, u, x, vp, st);
-  }
-  last_status_ = st;
+  const bool ladder = vp.enabled() && should_verify(vp, verify_seq_++);
+  SolveStatus st = guard_and_certify(
+      *h_, opts_.direct.lambda, u, x, factor_status_, reduced_code, vp,
+      ladder, [this](const Matrix& rhs) { return solve_impl(rhs); },
+      /*emit_obs=*/comm_.rank() == 0);
+  st.gmres_iterations = reduced_iters;
+  last_status_ = std::move(st);
   return x;
 }
 

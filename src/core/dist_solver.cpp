@@ -385,53 +385,19 @@ Matrix DistributedSolver::solve(const Matrix& u) {
     throw std::invalid_argument("DistributedSolver::solve: size mismatch");
   Matrix x = solve_impl(u);
 
-  // Guardrail summary over the batch, worst column first. No extra
-  // collectives: u is replicated, the full solution was just
-  // allgathered, and factor_status_ was agreed during factorization —
-  // every rank derives the identical status.
-  SolveStatus st;
-  st.lambda_effective = factor_status_.lambda_effective;
-  st.shifted_nodes = factor_status_.shifted_nodes;
-  st.residual = 0.0;
-  for (index_t j = 0; j < u.cols() && st.code == SolveCode::Ok; ++j) {
-    const std::span<const double> uc(u.col(j), static_cast<size_t>(n));
-    const std::span<const double> xc(x.col(j), static_cast<size_t>(n));
-    if (!all_finite(uc)) {
-      st.code = SolveCode::NonFinite;
-      st.detail = "right-hand side contains NaN/Inf";
-    } else if (!all_finite(xc)) {
-      st.code = SolveCode::NonFinite;
-      st.detail = factor_status_.code == FactorCode::NonFinite
-                      ? "solution contains NaN/Inf (factorization was "
-                        "already non-finite)"
-                      : "solution contains NaN/Inf";
-    } else {
-      st.residual = std::max(
-          st.residual, h_->relative_residual(xc, uc, ft_.options().lambda));
-    }
-  }
-  if (st.code == SolveCode::Ok &&
-      factor_status_.code == FactorCode::ShiftedDiagonal)
-    st.code = SolveCode::ShiftedDiagonal;
-
-  // Collective certification ladder: u and x are replicated, so every
-  // rank takes the identical per-column refine/escalate decisions and
-  // each correction stays a collective blocked Algorithm II.5 pass.
-  // Only rank 0 emits the verify.*/refine.* keys (one count per event).
+  // Guard and certify (core/verify.hpp). No extra collectives for the
+  // guards: u is replicated, the full solution was just allgathered, and
+  // factor_status_ was agreed during factorization — every rank derives
+  // the identical status. The ladder runs collectively: every rank takes
+  // the identical per-column refine/escalate decisions, so each
+  // correction stays a collective blocked Algorithm II.5 pass. Only
+  // rank 0 emits obs keys (one count per event).
   const VerifyPolicy& vp = ft_.options().verify;
-  if (vp.enabled() && should_verify(vp, verify_seq_++) &&
-      st.code != SolveCode::NonFinite) {
-    VerifyOps ops;
-    ops.emit_obs = comm_.rank() == 0;
-    const double lambda = ft_.options().lambda;
-    ops.apply = [this, lambda, &vp](std::span<const double> in,
-                                    std::span<double> y) {
-      verify_apply(*h_, lambda, vp, in, y);
-    };
-    ops.solve = [this](const Matrix& rhs) { return solve_impl(rhs); };
-    certify_into_status(ops, u, x, vp, st);
-  }
-  last_status_ = st;
+  const bool ladder = vp.enabled() && should_verify(vp, verify_seq_++);
+  last_status_ = guard_and_certify(
+      *h_, ft_.options().lambda, u, x, factor_status_, SolveCode::Ok, vp,
+      ladder, [this](const Matrix& rhs) { return solve_impl(rhs); },
+      /*emit_obs=*/comm_.rank() == 0);
   return x;
 }
 

@@ -1,7 +1,6 @@
 #include "core/hybrid.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -9,11 +8,20 @@
 #include <vector>
 
 #include "ckpt/checkpoint.hpp"
+#include "core/verify.hpp"
 #include "kernel/gsks.hpp"
 #include "la/gemm.hpp"
 #include "obs/obs.hpp"
 
 namespace fdks::core {
+
+SolveCode gmres_code(const iter::GmresResult& g) {
+  if (g.converged) return SolveCode::Ok;
+  if (g.breakdown) return SolveCode::Breakdown;
+  if (g.stagnated) return SolveCode::Stagnated;
+  if (g.nonfinite) return SolveCode::NonFinite;
+  return SolveCode::NotConverged;
+}
 
 namespace {
 
@@ -200,142 +208,26 @@ std::vector<double> HybridSolver::solve(std::span<const double> u,
   return std::vector<double>(x.data(), x.data() + x.size());
 }
 
-SolveStatus HybridSolver::solve_with_status(std::span<const double> u,
-                                            std::span<double> x) const {
-  SolveStatus st;
-  const FactorStatus fs = ft_.factor_status();
-  st.lambda_effective = fs.lambda_effective;
-  st.shifted_nodes = fs.shifted_nodes;
-  if (!all_finite(u)) {
-    st.code = SolveCode::NonFinite;
-    st.detail = "right-hand side contains NaN/Inf";
-    obs::add("guardrail.nonfinite_rhs");
-    return st;
-  }
-
-  std::vector<double> x0 = solve(u);
-  st.gmres_iterations = last_.iterations;
-  const double lambda = opts_.direct.lambda;
-  const bool x0_finite =
-      all_finite(std::span<const double>(x0.data(), x0.size()));
-  double res0 = std::numeric_limits<double>::infinity();
-  if (x0_finite) res0 = h_->relative_residual(x0, u, lambda);
-  st.residual = res0;
-
-  const bool reduced_failed = reduced_size_ > 0 &&
-                              (!last_.converged || last_.nonfinite ||
-                               last_.breakdown || last_.stagnated);
-  const bool want_escalate =
-      opts_.escalate_residual_tol > 0.0 &&
-      (!x0_finite || !std::isfinite(res0) ||
-       res0 > opts_.escalate_residual_tol || reduced_failed);
-
-  if (want_escalate) {
-    // Certification-ladder rung 1 (core/verify.hpp): cheap fixed-point
-    // refinement x += M^-1(u − A x) before demoting the factor to a
-    // preconditioner. When the hybrid answer is close, a step or two
-    // reaches the tolerance at a fraction of the outer-Krylov cost.
-    // Skipped when the reduced GMRES failed outright — refinement
-    // through a broken reduced solve would reuse the broken operator.
-    if (x0_finite && std::isfinite(res0) && !reduced_failed) {
-      const VerifyPolicy& vp = opts_.direct.verify;
-      std::vector<double> ax(u.size());
-      double rel = res0;
-      for (int step = 0; step < vp.max_refine_steps; ++step) {
-        h_->apply(x0, ax, lambda);
-        for (size_t i = 0; i < ax.size(); ++i) ax[i] = u[i] - ax[i];
-        std::vector<double> dx = solve(ax);
-        if (!all_finite(std::span<const double>(dx.data(), dx.size())))
-          break;
-        for (size_t i = 0; i < x0.size(); ++i) x0[i] += dx[i];
-        const double prev = rel;
-        rel = h_->relative_residual(x0, u, lambda);
-        obs::add("refine.steps");
-        if (std::isfinite(rel) && rel <= opts_.escalate_residual_tol)
-          break;
-        if (!std::isfinite(rel) || rel >= vp.min_step_improvement * prev) {
-          if (!std::isfinite(rel) || rel > prev) {
-            // The step made things worse: roll it back.
-            for (size_t i = 0; i < x0.size(); ++i) x0[i] -= dx[i];
-            rel = prev;
-          }
-          break;  // Stagnated: fall through to the GMRES rung.
-        }
-      }
-      if (rel < res0) {
-        res0 = rel;
-        st.residual = rel;
-      }
-    }
-  }
-
-  const bool want_outer_gmres =
-      want_escalate && !(std::isfinite(res0) && x0_finite &&
-                         res0 <= opts_.escalate_residual_tol &&
-                         !reduced_failed);
-  if (want_outer_gmres) {
-    // Graceful degradation (§II-C discussion): the direct pass becomes a
-    // right preconditioner M^-1 for an outer GMRES on A = lambda I + K~,
-    // i.e. solve (A M^-1) y = u, then x = M^-1 y.
-    obs::add("guardrail.escalations");
-    obs::add("refine.escalations");
-    ++st.escalations;
-    iter::GmresOptions og;
-    og.max_iters = opts_.escalate_max_iters;
-    og.restart = std::min(opts_.escalate_max_iters, 60);
-    og.rtol = opts_.escalate_residual_tol;
-    og.record_history = false;
-    std::vector<double> scratch(u.size());
-    auto op = [this, lambda, &scratch](std::span<const double> y,
-                                       std::span<double> out) {
-      std::vector<double> q = solve(y);  // q = M^-1 y.
-      std::copy(q.begin(), q.end(), scratch.begin());
-      h_->apply(scratch, out, lambda);   // out = A q.
-    };
-    iter::GmresResult outer =
-        iter::gmres(h_->n(), op, u, og);
-    st.gmres_iterations += outer.iterations;
-    if (all_finite(std::span<const double>(outer.x.data(),
-                                           outer.x.size()))) {
-      std::vector<double> xe = solve(outer.x);
-      if (all_finite(std::span<const double>(xe.data(), xe.size()))) {
-        const double rese = h_->relative_residual(xe, u, lambda);
-        if (std::isfinite(rese) && (!std::isfinite(res0) || rese < res0)) {
-          x0 = std::move(xe);
-          st.residual = rese;
-        }
-      }
-    }
-  }
-
-  if (!all_finite(std::span<const double>(x0.data(), x0.size()))) {
-    st.code = SolveCode::NonFinite;
-    st.detail = "solution contains NaN/Inf";
-    return st;
-  }
-  std::copy(x0.begin(), x0.end(), x.begin());
-
-  // Outcome priority: worst condition wins, repaired states still ok().
-  if (want_escalate) {
-    if (opts_.escalate_residual_tol > 0.0 &&
-        st.residual > opts_.escalate_residual_tol) {
-      st.code = SolveCode::NotConverged;
-      st.detail = "escalated solve still misses escalate_residual_tol";
-    } else {
-      st.code = SolveCode::Escalated;
-    }
-  } else if (reduced_failed) {
-    if (last_.breakdown) {
-      st.code = SolveCode::Breakdown;
-    } else if (last_.stagnated) {
-      st.code = SolveCode::Stagnated;
-    } else {
-      st.code = SolveCode::NotConverged;
-    }
-    st.detail = "reduced-system GMRES did not converge";
-  } else if (fs.code == FactorCode::ShiftedDiagonal) {
-    st.code = SolveCode::ShiftedDiagonal;
-  }
+SolveStatus HybridSolver::solve_checked(std::span<const double> u,
+                                        std::span<double> x,
+                                        const CancelToken* cancel) const {
+  const auto n = static_cast<index_t>(u.size());
+  Matrix um(n, 1);
+  std::copy(u.begin(), u.end(), um.data());
+  Matrix xm = solve(um, cancel);
+  // Read the reduced GMRES before the ladder's correction solves
+  // overwrite last_.
+  const bool reduced = reduced_size_ > 0;
+  const SolveCode reduced_code = reduced ? gmres_code(last_) : SolveCode::Ok;
+  const int reduced_iters = reduced ? last_.iterations : 0;
+  const VerifyPolicy& vp = opts_.direct.verify;
+  SolveStatus st = guard_and_certify(
+      *h_, opts_.direct.lambda, um, xm, ft_.factor_status(), reduced_code,
+      vp, vp.enabled(),
+      [this, cancel](const Matrix& rhs) { return solve(rhs, cancel); },
+      /*emit_obs=*/true, cancel);
+  st.gmres_iterations = reduced_iters;
+  std::copy(xm.data(), xm.data() + n, x.begin());
   return st;
 }
 

@@ -22,16 +22,15 @@
 namespace fdks::core {
 
 struct HybridOptions {
-  SolverOptions direct;        ///< Frontier-subtree factorization options.
+  /// Frontier-subtree factorization options; `direct.verify` is the
+  /// certification / escalation policy of the checked solves.
+  SolverOptions direct;
   iter::GmresOptions gmres;    ///< Reduced-system Krylov options.
-  /// Auto-escalation guardrail: after a hybrid solve, when the true
-  /// residual against (lambda I + K~) exceeds this tolerance (or the
-  /// reduced-system GMRES failed outright), demote the factorization to
-  /// a preconditioner for an outer GMRES on the full operator. 0
-  /// disables the check.
-  double escalate_residual_tol = 0.0;
-  int escalate_max_iters = 200;  ///< Outer-GMRES iteration budget.
 };
+
+/// Why a reduced-system GMRES stopped short, as a solve code (Ok when it
+/// converged); std::max over a batch's columns keeps the worst.
+SolveCode gmres_code(const iter::GmresResult& g);
 
 class HybridSolver {
  public:
@@ -53,13 +52,15 @@ class HybridSolver {
   std::vector<double> solve(std::span<const double> u,
                             const CancelToken* cancel = nullptr) const;
 
-  /// Guarded solve with graceful degradation: validates input/output,
-  /// measures the true residual, and — when escalate_residual_tol is set
-  /// and the direct pass misses it — escalates to an outer GMRES on
-  /// (lambda I + K~) right-preconditioned by this solver. Never throws
-  /// on numerical trouble; inspect the returned SolveStatus.
-  SolveStatus solve_with_status(std::span<const double> u,
-                                std::span<double> x) const;
+  /// Checked solve: solve(), then core::guard_and_certify
+  /// (core/verify.hpp) with the reduced-system GMRES outcome as the
+  /// pre-ladder code. When `direct.verify` is enabled (Sample counts as
+  /// in-sample here), the certification ladder refines x in place and,
+  /// on stagnation, escalates to an outer GMRES on (lambda I + K~)
+  /// right-preconditioned by this solver (graceful degradation). Never
+  /// throws on numerical trouble; inspect the returned SolveStatus.
+  SolveStatus solve_checked(std::span<const double> u, std::span<double> x,
+                            const CancelToken* cancel = nullptr) const;
 
   /// Structured factorization outcome for the frontier subtrees.
   FactorStatus factor_status() const { return ft_.factor_status(); }

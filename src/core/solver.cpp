@@ -79,16 +79,6 @@ bool FastDirectSolver::verify_integrity() const {
   return false;
 }
 
-VerifyOutcome FastDirectSolver::solve_verified(std::span<const double> u,
-                                               std::span<double> x,
-                                               std::uint64_t solve_index,
-                                               const CancelToken* cancel)
-    const {
-  solve(u, x, cancel);
-  return certify_and_refine(*this, u, x, ft_.options().verify, solve_index,
-                            cancel);
-}
-
 void FastDirectSolver::solve(std::span<const double> u, std::span<double> x,
                              const CancelToken* cancel) const {
   Matrix um(static_cast<index_t>(u.size()), 1);
@@ -131,31 +121,19 @@ Matrix FastDirectSolver::solve(const Matrix& u,
 }
 
 SolveStatus FastDirectSolver::solve_checked(std::span<const double> u,
-                                            std::span<double> x) const {
-  SolveStatus st;
-  const FactorStatus fs = ft_.factor_status();
-  st.lambda_effective = fs.lambda_effective;
-  st.shifted_nodes = fs.shifted_nodes;
-  if (!all_finite(u)) {
-    st.code = SolveCode::NonFinite;
-    st.detail = "right-hand side contains NaN/Inf";
-    obs::add("guardrail.nonfinite_rhs");
-    return st;
-  }
-  solve(u, x);
-  if (!all_finite(x)) {
-    st.code = SolveCode::NonFinite;
-    st.detail = fs.code == FactorCode::NonFinite
-                    ? "solution contains NaN/Inf (factorization was "
-                      "already non-finite)"
-                    : "solution contains NaN/Inf";
-    return st;
-  }
-  st.residual =
-      ft_.hmatrix().relative_residual(x, u, ft_.options().lambda);
-  if (fs.code == FactorCode::ShiftedDiagonal) {
-    st.code = SolveCode::ShiftedDiagonal;
-  }
+                                            std::span<double> x,
+                                            const CancelToken* cancel) const {
+  const auto n = static_cast<index_t>(u.size());
+  Matrix um(n, 1);
+  std::copy(u.begin(), u.end(), um.data());
+  Matrix xm = solve(um, cancel);
+  const VerifyPolicy& vp = ft_.options().verify;
+  const SolveStatus st = guard_and_certify(
+      ft_.hmatrix(), lambda(), um, xm, ft_.factor_status(), SolveCode::Ok,
+      vp, vp.enabled(),
+      [this, cancel](const Matrix& rhs) { return solve(rhs, cancel); },
+      /*emit_obs=*/true, cancel);
+  std::copy(xm.data(), xm.data() + n, x.begin());
   return st;
 }
 

@@ -41,25 +41,18 @@ class FastDirectSolver {
   std::vector<double> solve(std::span<const double> u,
                             const CancelToken* cancel = nullptr) const;
 
-  /// Guarded solve: validates the input, solves, validates the output,
-  /// and returns a structured outcome including the true relative
-  /// residual against the hierarchical operator and any diagonal-shift
-  /// degradation inherited from the factorization. Never throws on
-  /// numerical trouble — inspect the returned SolveStatus.
-  SolveStatus solve_checked(std::span<const double> u,
-                            std::span<double> x) const;
+  /// Checked solve: solve(), then core::guard_and_certify
+  /// (core/verify.hpp) on the answer — the non-finite guards, the true
+  /// relative residual against the hierarchical operator, diagonal-shift
+  /// degradation inherited from the factorization and, when
+  /// SolverOptions::verify is enabled (Sample counts as in-sample here),
+  /// the certification / escalation ladder refining x in place. Never
+  /// throws on numerical trouble — inspect the returned SolveStatus.
+  SolveStatus solve_checked(std::span<const double> u, std::span<double> x,
+                            const CancelToken* cancel = nullptr) const;
 
   /// Structured factorization outcome (shift retries, NaN detection).
   FactorStatus factor_status() const { return ft_.factor_status(); }
-
-  /// Verified solve: runs solve(), then the certification + escalation
-  /// ladder of `ft_.options().verify` (core/verify.hpp) on the answer.
-  /// `solve_index` feeds the sampling policy (caller-maintained solve
-  /// counter; 0 is always in-sample). x is refined in place.
-  VerifyOutcome solve_verified(std::span<const double> u,
-                               std::span<double> x,
-                               std::uint64_t solve_index = 0,
-                               const CancelToken* cancel = nullptr) const;
 
   // -- Factor integrity (self-healing cache / checkpoint restore) ------
 

@@ -4,8 +4,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <functional>
+#include <utility>
 #include <vector>
 
+#include "iterative/gmres.hpp"
 #include "la/blas1.hpp"
 #include "obs/obs.hpp"
 
@@ -26,15 +29,39 @@ bool should_verify(const VerifyPolicy& p, std::uint64_t solve_index) {
   return false;
 }
 
-void verify_apply(const HMatrix& h, double lambda, const VerifyPolicy& p,
-                  std::span<const double> x, std::span<double> y) {
-  if (p.op == VerifyPolicy::Operator::Treecode)
-    h.apply_source(x, y, lambda);
-  else
-    h.apply(x, y, lambda);
-}
-
 namespace {
+
+/// The two callbacks the ladder is generic over. `apply` is the
+/// certification operator y = (λI+K)x; `solve` is the approximate
+/// factor Y = F⁻¹ B on a block of columns, used for the batched rung-1
+/// corrections and, one column at a time, as the GMRES right
+/// preconditioner of rung 2.
+struct VerifyOps {
+  iter::LinOp apply;
+  std::function<Matrix(const Matrix&)> solve;
+  /// Emit verify.*/refine.* obs keys. Distributed callers set this on
+  /// rank 0 only so collective ladders count each event once.
+  bool emit_obs = true;
+};
+
+/// The ladder's callbacks for operator `h`: apply is y = (λI+K) x
+/// through the operator policy `p` certifies against
+/// (VerifyPolicy::Operator); h and p must outlive the returned ops.
+VerifyOps make_ops(const HMatrix& h, double lambda, const VerifyPolicy& p,
+                   std::function<Matrix(const Matrix&)> solve,
+                   bool emit_obs) {
+  VerifyOps ops;
+  ops.apply = [&h, lambda, &p](std::span<const double> in,
+                               std::span<double> y) {
+    if (p.op == VerifyPolicy::Operator::Treecode)
+      h.apply_source(in, y, lambda);
+    else
+      h.apply(in, y, lambda);
+  };
+  ops.solve = std::move(solve);
+  ops.emit_obs = emit_obs;
+  return ops;
+}
 
 double elapsed_seconds(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -90,8 +117,13 @@ double escalate_rung(const VerifyOps& ops, const VerifyPolicy& p,
   return rel;
 }
 
-}  // namespace
-
+/// Certify every column of x (solutions of A X = B already computed by
+/// the caller), then refine ONLY the failing columns — each refinement
+/// step gathers their residuals into one narrow block, runs a single
+/// blocked correction solve, and scatters the updates back (per-column
+/// blame, batched repair). Columns that stagnate above target escalate
+/// individually through the GMRES rung. Returns one outcome per column.
+/// The sampling decision is the caller's — this always measures.
 std::vector<VerifyOutcome> certify_and_refine_block_ops(
     const VerifyOps& ops, const Matrix& b, Matrix& x, const VerifyPolicy& p,
     const CancelToken* cancel) {
@@ -185,43 +217,62 @@ std::vector<VerifyOutcome> certify_and_refine_block_ops(
   return outs;
 }
 
-void certify_into_status(const VerifyOps& ops, const Matrix& b, Matrix& x,
-                         const VerifyPolicy& p, SolveStatus& st) {
-  const std::vector<VerifyOutcome> vos =
-      certify_and_refine_block_ops(ops, b, x, p);
-  st.residual = 0.0;
+}  // namespace
+
+SolveStatus guard_and_certify(const HMatrix& h, double lambda,
+                              const Matrix& u, Matrix& x,
+                              const FactorStatus& fs, SolveCode solve_code,
+                              const VerifyPolicy& p, bool run_ladder,
+                              std::function<Matrix(const Matrix&)> solve,
+                              bool emit_obs, const CancelToken* cancel) {
+  const auto n = static_cast<size_t>(u.rows());
+  SolveStatus st;
+  st.lambda_effective = fs.lambda_effective;
+  st.shifted_nodes = fs.shifted_nodes;
+  for (index_t j = 0; j < u.cols() && st.code == SolveCode::Ok; ++j) {
+    const std::span<const double> uc(u.col(j), n);
+    const std::span<const double> xc(x.col(j), n);
+    if (!all_finite(uc)) {
+      st.code = SolveCode::NonFinite;
+      st.detail = "right-hand side contains NaN/Inf";
+      if (emit_obs) obs::add("guardrail.nonfinite_rhs");
+    } else if (!all_finite(xc)) {
+      st.code = SolveCode::NonFinite;
+      st.detail = fs.code == FactorCode::NonFinite
+                      ? "solution contains NaN/Inf (factorization was "
+                        "already non-finite)"
+                      : "solution contains NaN/Inf";
+    } else if (!run_ladder) {  // The ladder measures every column itself.
+      st.residual = std::max(st.residual, h.relative_residual(xc, uc, lambda));
+    }
+  }
+  if (st.code != SolveCode::Ok) return st;
+  if (solve_code != SolveCode::Ok) {
+    st.code = solve_code;
+    st.detail = "reduced-system GMRES did not converge";
+  } else if (fs.code == FactorCode::ShiftedDiagonal) {
+    st.code = SolveCode::ShiftedDiagonal;
+  }
+  if (!run_ladder) return st;
+
   bool uncertified = false;
-  int escalations = 0;
-  for (const VerifyOutcome& vo : vos) {
+  const VerifyOps ops = make_ops(h, lambda, p, std::move(solve), emit_obs);
+  for (const VerifyOutcome& vo :
+       certify_and_refine_block_ops(ops, u, x, p, cancel)) {
     if (!(vo.residual <= st.residual)) st.residual = vo.residual;  // NaN too.
     uncertified = uncertified || !vo.certified;
-    escalations += vo.escalations;
+    st.escalations += vo.escalations;
   }
-  st.escalations += escalations;
   if (uncertified) {
     st.code = SolveCode::NotConverged;
     st.detail = "certified residual misses the verify target after the "
                 "escalation ladder";
-  } else if (escalations > 0) {
+  } else if (st.escalations > 0 || !st.ok()) {
     st.code = SolveCode::Escalated;
+    st.detail.clear();
   }
+  return st;
 }
-
-namespace {
-
-VerifyOps solver_ops(const FastDirectSolver& s, const VerifyPolicy& p,
-                     const CancelToken* cancel) {
-  VerifyOps ops;
-  ops.apply = [&s, &p](std::span<const double> in, std::span<double> y) {
-    verify_apply(s.factor_tree().hmatrix(), s.lambda(), p, in, y);
-  };
-  ops.solve = [&s, cancel](const Matrix& rhs) {
-    return s.solve(rhs, cancel);
-  };
-  return ops;
-}
-
-}  // namespace
 
 std::vector<VerifyOutcome> certify_and_refine_block(
     const FastDirectSolver& s, const Matrix& b, Matrix& x,
@@ -229,23 +280,11 @@ std::vector<VerifyOutcome> certify_and_refine_block(
     const CancelToken* cancel) {
   if (!should_verify(p, solve_index))
     return std::vector<VerifyOutcome>(static_cast<size_t>(b.cols()));
-  return certify_and_refine_block_ops(solver_ops(s, p, cancel), b, x, p,
-                                      cancel);
-}
-
-VerifyOutcome certify_and_refine(const FastDirectSolver& s,
-                                 std::span<const double> b,
-                                 std::span<double> x, const VerifyPolicy& p,
-                                 std::uint64_t solve_index,
-                                 const CancelToken* cancel) {
-  const auto n = static_cast<index_t>(x.size());
-  Matrix bm(n, 1), xm(n, 1);
-  std::copy(b.begin(), b.end(), bm.data());
-  std::copy(x.begin(), x.end(), xm.data());
-  const VerifyOutcome out =
-      certify_and_refine_block(s, bm, xm, p, solve_index, cancel).front();
-  std::copy(xm.data(), xm.data() + n, x.begin());
-  return out;
+  const VerifyOps ops = make_ops(
+      s.factor_tree().hmatrix(), s.lambda(), p,
+      [&s, cancel](const Matrix& rhs) { return s.solve(rhs, cancel); },
+      /*emit_obs=*/true);
+  return certify_and_refine_block_ops(ops, b, x, p, cancel);
 }
 
 }  // namespace fdks::core

@@ -16,20 +16,25 @@
 //   rung 2 — factor-preconditioned GMRES on A (refine.escalations),
 //            reusing GmresOptions::right_precond.
 //
-// The ladder is written against a VerifyOps callback pair so every
-// solver shares it: the sequential FastDirectSolver wrappers below,
-// and the distributed solvers, whose u/x are replicated on every rank —
-// each rank reaches the identical refine/stop decision, so the
-// correction solves routed through VerifyOps::solve stay collective.
-//
-// There is one ladder, for a block of B >= 1 columns; a single vector is
-// the B = 1 case. It refines only failing columns (one narrow blocked
+// There is one ladder (certify_and_refine_block_ops in verify.cpp), for
+// a block of B >= 1 columns; a single vector is the B = 1 case. It is
+// generic over two callbacks, the certification apply and the solver's
+// block solve, and refines only failing columns (one narrow blocked
 // correction solve per step), which is what keeps certification cheap
-// for the serving path's batched solves.
+// for the serving path's batched solves. Two entry points reach it:
+//
+//   guard_and_certify        — the one status step behind all four
+//     solvers' checked solves: the non-finite guards, the residual, the
+//     solver's own degradation codes and, when asked, the ladder, folded
+//     into a single SolveStatus by one rule set. The distributed solvers
+//     pass collective block solves: u/x are replicated on every rank, so
+//     each rank reaches the identical refine/stop decision and the
+//     correction solves stay collective.
+//   certify_and_refine_block — per-column outcomes for a
+//     FastDirectSolver batch (the serving engine's certified path).
 #pragma once
 
 #include "core/solver.hpp"
-#include "iterative/gmres.hpp"
 
 #include <cstdint>
 #include <functional>
@@ -42,58 +47,40 @@ namespace fdks::core {
 /// factorization is the one most worth checking).
 bool should_verify(const VerifyPolicy& p, std::uint64_t solve_index);
 
-/// y = (λI+K) x through the operator the policy certifies against.
-void verify_apply(const HMatrix& h, double lambda, const VerifyPolicy& p,
-                  std::span<const double> x, std::span<double> y);
+/// The guard-and-certify step of every checked solve. `x` is the
+/// solver's finished answer to A X = U (B >= 1 columns); `fs` its
+/// factorization outcome; `solve_code` its own pre-ladder outcome (the
+/// worst reduced-system GMRES code for the hybrids, Ok otherwise);
+/// `solve` its block solve Y = F⁻¹ B, the ladder's correction solve.
+///
+/// Worst column first, the status is: NonFinite for a NaN/Inf
+/// right-hand side, then for a NaN/Inf solution; otherwise the largest
+/// relative residual against (λI+K~) over the columns, then
+/// `solve_code`, then ShiftedDiagonal from `fs`. With `run_ladder` set
+/// and every column finite, the ladder then refines x in place and has
+/// the last word: NotConverged when a column stays uncertified, else
+/// Escalated when the GMRES rung ran or the pre-ladder code was a
+/// failure — a certified answer never carries a failure code. Emits
+/// guardrail.nonfinite_rhs and the ladder's keys when `emit_obs`
+/// (distributed callers: rank 0 only).
+SolveStatus guard_and_certify(const HMatrix& h, double lambda,
+                              const Matrix& u, Matrix& x,
+                              const FactorStatus& fs, SolveCode solve_code,
+                              const VerifyPolicy& p, bool run_ladder,
+                              std::function<Matrix(const Matrix&)> solve,
+                              bool emit_obs = true,
+                              const CancelToken* cancel = nullptr);
 
-/// The two callbacks the ladder is generic over. `apply` is the
-/// certification operator y = (λI+K)x; `solve` is the approximate
-/// factor Y = F⁻¹ B on a block of columns, used for the batched rung-1
-/// corrections and, one column at a time, as the GMRES right
-/// preconditioner of rung 2.
-struct VerifyOps {
-  iter::LinOp apply;
-  std::function<Matrix(const Matrix&)> solve;
-  /// Emit verify.*/refine.* obs keys. Distributed callers set this on
-  /// rank 0 only so collective ladders count each event once.
-  bool emit_obs = true;
-};
-
-/// Certify every column of x (solutions of A X = B already computed by
-/// the caller), then refine ONLY the failing columns — each refinement
-/// step gathers their residuals into one narrow block, runs a single
-/// blocked correction solve, and scatters the updates back (per-column
-/// blame, batched repair). Columns that stagnate above target escalate
-/// individually through the GMRES rung. Returns one outcome per column.
-/// Emits verify.checks/fail/residual/seconds and refine.steps/
-/// escalations (when ops.emit_obs). Honors `cancel` between rungs and
-/// inside the GMRES rung (CancelledError propagates). The sampling
-/// decision is the caller's (should_verify) — this always measures.
-std::vector<VerifyOutcome> certify_and_refine_block_ops(
-    const VerifyOps& ops, const Matrix& b, Matrix& x, const VerifyPolicy& p,
-    const CancelToken* cancel = nullptr);
-
-/// Run the ladder on a batch and fold its per-column outcomes into `st`:
-/// worst residual, summed escalations, NotConverged when a column stays
-/// uncertified, else Escalated when any column escalated. The shared
-/// certification step of the distributed solvers' status blocks.
-void certify_into_status(const VerifyOps& ops, const Matrix& b, Matrix& x,
-                         const VerifyPolicy& p, SolveStatus& st);
-
-/// FastDirectSolver adapters: build VerifyOps from the solver and run
-/// the ladder, with the sampling decision folded in (`solve_index`
-/// feeds should_verify; a skipped solve returns measured == false and
-/// leaves x untouched).
+/// Run the ladder on a FastDirectSolver batch (x already solved) and
+/// return one outcome per column, with the sampling decision folded in
+/// (`solve_index` feeds should_verify; a skipped solve returns
+/// measured == false and leaves x untouched). Emits
+/// verify.checks/fail/residual/seconds and refine.steps/escalations.
+/// Honors `cancel` between rungs and inside the GMRES rung
+/// (CancelledError propagates).
 std::vector<VerifyOutcome> certify_and_refine_block(
     const FastDirectSolver& s, const Matrix& b, Matrix& x,
     const VerifyPolicy& p, std::uint64_t solve_index = 0,
     const CancelToken* cancel = nullptr);
-
-/// Single-vector form: the B = 1 case of certify_and_refine_block.
-VerifyOutcome certify_and_refine(const FastDirectSolver& s,
-                                 std::span<const double> b,
-                                 std::span<double> x, const VerifyPolicy& p,
-                                 std::uint64_t solve_index = 0,
-                                 const CancelToken* cancel = nullptr);
 
 }  // namespace fdks::core

@@ -136,8 +136,4 @@ void chol_solve(const CholFactor& f, MatrixView b) {
   }
 }
 
-void chol_solve(const CholFactor& f, Matrix& b) {
-  chol_solve(f, MatrixView(b));
-}
-
 }  // namespace fdks::la

@@ -26,7 +26,4 @@ void chol_solve(const CholFactor& f, std::span<double> b);
 /// column streams once across all right-hand sides (TRSM-style).
 void chol_solve(const CholFactor& f, MatrixView b);
 
-/// Solve A X = B in place on B.
-void chol_solve(const CholFactor& f, Matrix& b);
-
 }  // namespace fdks::la

@@ -174,8 +174,6 @@ void lu_solve(const LuFactor& f, MatrixView b) {
   }
 }
 
-void lu_solve(const LuFactor& f, Matrix& b) { lu_solve(f, MatrixView(b)); }
-
 double norm1(const Matrix& a) {
   double best = 0.0;
   for (index_t j = 0; j < a.cols(); ++j) {

@@ -47,9 +47,6 @@ void lu_solve(const LuFactor& f, std::span<double> b);
 /// instead of once per column.
 void lu_solve(const LuFactor& f, MatrixView b);
 
-/// Solve A X = B for a block of right-hand sides, in place on B.
-void lu_solve(const LuFactor& f, Matrix& b);
-
 /// Estimate 1/cond_1(A) = 1/(||A||_1 ||A^-1||_1) using Hager-Higham style
 /// iteration on the factor (a GECON substitute). anorm1 is ||A||_1 of the
 /// original matrix.

@@ -65,7 +65,6 @@
   X(kGsksEvalsPerCall,        "gsks.evals_per_call",         Histogram)    \
   X(kGsksScope,               "gsks",                        Timer)        \
   /* numerical guardrails (PR 2) */                                        \
-  X(kGuardEscalations,        "guardrail.escalations",       Counter)      \
   X(kGuardGmresBreakdown,     "guardrail.gmres_breakdown",   Counter)      \
   X(kGuardGmresNonfinite,     "guardrail.gmres_nonfinite",   Counter)      \
   X(kGuardGmresStagnation,    "guardrail.gmres_stagnation",  Counter)      \

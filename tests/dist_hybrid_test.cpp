@@ -143,6 +143,40 @@ TEST(DistHybrid, BlockStatusReportsWorstColumn) {
   EXPECT_EQ(batch.code, solo.code) << batch.message();
 }
 
+TEST(DistHybrid, CertifiedAfterReducedGmresFailureMatchesSequential) {
+  // A zero Krylov budget fails the reduced GMRES on purpose: the pass
+  // degenerates to the block-diagonal D^-1 u. With a narrow kernel and a
+  // large lambda, D^-1 is a good enough approximate inverse that the
+  // ladder's refinement rung alone certifies the answer (no GMRES rung).
+  // Sequential and distributed must then report the same outcome, and a
+  // certified answer never carries a failure code.
+  const index_t n = 512;
+  Matrix pts = clustered_points(3, n, 23);
+  askit::HMatrix h(pts, Kernel::gaussian(0.05), restricted(3));
+  HybridOptions o = hopts(30.0);
+  o.gmres.max_iters = 0;
+  o.direct.verify.mode = VerifyMode::Always;
+  const double target = o.direct.verify.target_residual;
+  const std::vector<double> u = random_vec(n, 24);
+
+  HybridSolver seq(h, o);
+  std::vector<double> xs(static_cast<size_t>(n));
+  const SolveStatus s = seq.solve_checked(u, xs);
+
+  SolveStatus d;
+  mpisim::run(2, [&](mpisim::Comm& comm) {
+    DistributedHybridSolver ds(h, o, comm);
+    (void)ds.solve(u);
+    if (comm.rank() == 0) d = ds.last_status();
+  });
+  EXPECT_EQ(d.escalations, 0) << d.message();  // Rung 1 alone certified.
+  EXPECT_EQ(d.code, s.code) << d.message() << " vs " << s.message();
+  EXPECT_EQ(d.ok(), s.ok()) << d.message() << " vs " << s.message();
+  EXPECT_TRUE(d.ok()) << d.message();
+  EXPECT_LE(s.residual, target) << s.message();
+  EXPECT_LE(d.residual, target) << d.message();
+}
+
 TEST(DistHybrid, ResidualAgainstCompressedOperator) {
   const index_t n = 512;
   Matrix pts = clustered_points(3, n, 3);

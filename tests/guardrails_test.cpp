@@ -255,13 +255,14 @@ TEST(Guardrails, HybridEscalatesWhenDirectPassMissesTolerance) {
   // and so doubles as a sound preconditioner for the escalation) so the
   // first pass misses the escalation tolerance.
   ho.gmres.max_iters = 0;
-  ho.escalate_residual_tol = 1e-7;
-  ho.escalate_max_iters = 400;
+  ho.direct.verify.mode = VerifyMode::Always;
+  ho.direct.verify.target_residual = 1e-7;
+  ho.direct.verify.escalate_max_iters = 400;
   HybridSolver hy(h, ho);
 
   auto u = random_vec(n, 14);
   std::vector<double> x(static_cast<size_t>(n));
-  const SolveStatus st = hy.solve_with_status(u, x);
+  const SolveStatus st = hy.solve_checked(u, x);
   EXPECT_EQ(st.escalations, 1) << st.message();
   EXPECT_EQ(st.code, SolveCode::Escalated) << st.message();
   EXPECT_TRUE(st.ok());
@@ -269,7 +270,7 @@ TEST(Guardrails, HybridEscalatesWhenDirectPassMissesTolerance) {
   EXPECT_TRUE(all_finite(x));
 
   const auto counters = obs::snapshot().counters;
-  EXPECT_GE(counters.at("guardrail.escalations"), 1.0);
+  EXPECT_GE(counters.at("refine.escalations"), 1.0);
   obs::set_enabled(false);
 }
 
@@ -285,12 +286,14 @@ TEST(Guardrails, HybridCleanSolveDoesNotEscalate) {
   HybridOptions ho;
   ho.direct.lambda = 1.0;
   ho.gmres.rtol = 1e-12;
-  ho.escalate_residual_tol = 1e-6;
+  ho.direct.verify.mode = VerifyMode::Always;
+  ho.direct.verify.target_residual = 1e-6;
+  ho.direct.verify.escalate_max_iters = 400;
   HybridSolver hy(h, ho);
 
   auto u = random_vec(n, 16);
   std::vector<double> x(static_cast<size_t>(n));
-  const SolveStatus st = hy.solve_with_status(u, x);
+  const SolveStatus st = hy.solve_checked(u, x);
   EXPECT_EQ(st.escalations, 0) << st.message();
   EXPECT_EQ(st.code, SolveCode::Ok) << st.message();
   EXPECT_LT(st.residual, 1e-6);

@@ -6,6 +6,7 @@
 // `fault` ctest label so the TSan job covers the engine/cache threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <future>
@@ -76,6 +77,12 @@ std::vector<double> random_vec(index_t n, uint64_t seed) {
   return v;
 }
 
+Matrix one_column(const std::vector<double>& v) {
+  Matrix m(static_cast<index_t>(v.size()), 1);
+  std::copy(v.begin(), v.end(), m.data());
+  return m;
+}
+
 double counter(const obs::Snapshot& s, const std::string& k) {
   auto it = s.counters.find(k);
   return it == s.counters.end() ? 0.0 : it->second;
@@ -118,8 +125,9 @@ TEST(CertifyTest, HealthyFactorCertifiesWithoutRefinement) {
   FastDirectSolver s(h, so);
 
   const std::vector<double> u = random_vec(n, 3);
-  std::vector<double> x(static_cast<size_t>(n), 0.0);
-  const VerifyOutcome vo = s.solve_verified(u, x);
+  const Matrix b = one_column(u);
+  Matrix x = s.solve(b);
+  const VerifyOutcome vo = certify_and_refine_block(s, b, x, so.verify).front();
 
   EXPECT_TRUE(vo.measured);
   EXPECT_TRUE(vo.certified);
@@ -162,8 +170,9 @@ TEST(CertifyTest, CoarseFactorRefinesToTarget) {
 
   ObsOn obs_on;
   const obs::Snapshot before = obs::snapshot();
-  std::vector<double> x(static_cast<size_t>(n), 0.0);
-  const VerifyOutcome vo = s.solve_verified(u, x);
+  const Matrix b = one_column(u);
+  Matrix x = s.solve(b);
+  const VerifyOutcome vo = certify_and_refine_block(s, b, x, so.verify).front();
   const obs::Snapshot after = obs::snapshot();
 
   EXPECT_TRUE(vo.measured);
@@ -196,8 +205,9 @@ TEST(CertifyTest, GmresRungCertifiesWhenRefinementDisabled) {
   const std::vector<double> u = random_vec(n, 9);
   ObsOn obs_on;
   const obs::Snapshot before = obs::snapshot();
-  std::vector<double> x(static_cast<size_t>(n), 0.0);
-  const VerifyOutcome vo = s.solve_verified(u, x);
+  const Matrix b = one_column(u);
+  Matrix x = s.solve(b);
+  const VerifyOutcome vo = certify_and_refine_block(s, b, x, so.verify).front();
   const obs::Snapshot after = obs::snapshot();
 
   EXPECT_TRUE(vo.certified);
